@@ -4,7 +4,10 @@
 // same binary), at 1 thread and at the default thread count. Also proves
 // the two contracts the rewrite must keep: per-epoch losses are bitwise
 // identical across all paths/thread counts, and a warmed-up tape performs
-// zero slab allocations across Reset/rebuild cycles.
+// zero slab allocations across Reset/rebuild cycles. The default-thread
+// arena fits are traced, and the seconds of each training phase (pair
+// forward/backward, the serial rest of the gradient pull, clipping, the
+// optimizer step) are reported as phase_s.<model>.<phase>.
 
 #include <algorithm>
 #include <cmath>
@@ -125,7 +128,21 @@ void RunModel(const std::string& key,
   const FitRun legacy1 = fit(1, true);
   const FitRun new1 = fit(1, false);
   const FitRun legacy_default = fit(0, true);
+  // The default-thread arena fit also reports where a training step's time
+  // goes: the trainers' per-batch phase spans, summed over the fit.
+  obs::TraceRecorder::Global().Enable();
   const FitRun new_default = fit(0, false);
+  const std::vector<obs::SpanTotal> totals =
+      obs::TraceRecorder::Global().AggregateTotals();
+  obs::TraceRecorder::Global().Disable();
+  for (const char* phase : {"pairs", "grad_pull", "clip", "optimizer_step"}) {
+    const std::string span = key + "/" + phase;
+    double seconds = 0.0;
+    for (const obs::SpanTotal& t : totals)
+      if (t.name == span) seconds = static_cast<double>(t.total_ns) / 1e9;
+    report->AddScalar("phase_s." + key + "." + phase, seconds);
+    std::printf("%-6s phase %-15s %8.3f s\n", key.c_str(), phase, seconds);
+  }
 
   SUBREC_CHECK(SameBits(legacy1.losses, new1.losses))
       << key << ": legacy vs arena losses differ";

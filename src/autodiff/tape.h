@@ -103,6 +103,13 @@ class Tape {
   VarId Sum(VarId a);
   /// Sum of squared entries -> 1x1 (L2 regularizer building block).
   VarId SumSquares(VarId a);
+  /// loss + penalty for a 1x1 `loss`, where `penalty` is the caller's
+  /// evaluation of lambda * SumSquares(x) on x's current value (the sum of
+  /// x[i]*x[i] in index order, then times lambda). Values and gradients are
+  /// bit-identical to Add(loss, Scale(SumSquares(x), lambda)); the op only
+  /// skips the O(|x|) forward sum, so a penalty on weights that stay frozen
+  /// across many tapes is summed once instead of once per tape.
+  VarId AddL2Penalty(VarId loss, VarId x, double lambda, double penalty);
   /// Mean binary cross-entropy with logits against constant targets
   /// (same shape as `logits`); numerically stable log-sum-exp form -> 1x1.
   VarId SigmoidBce(VarId logits, const la::Matrix& targets);
@@ -158,6 +165,7 @@ class Tape {
     kSum,
     kSumSquares,
     kSigmoidBce,
+    kAddL2Penalty,
   };
 
   struct Node {
@@ -168,7 +176,7 @@ class Tape {
     bool requires_grad = false;
     VarId a = 0;
     VarId b = 0;
-    double alpha = 0.0;  // Scale factor
+    double alpha = 0.0;  // Scale factor; AddL2Penalty lambda
     // Span into operands_ for variadic ops (Concat*).
     uint32_t extra_begin = 0;
     uint32_t extra_count = 0;

@@ -9,21 +9,7 @@
 
 namespace subrec::la {
 
-bool AllFinite(const Matrix& m) {
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (!std::isfinite(m[i])) return false;
-  }
-  return true;
-}
-
-bool AllFinite(const std::vector<double>& v) {
-  for (double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
-
-void CheckFinite(const Matrix& m, const char* label) {
+void ReportNonFinite(const Matrix& m, const char* label) {
   for (size_t i = 0; i < m.size(); ++i) {
     if (!std::isfinite(m[i])) {
       const size_t r = m.cols() > 0 ? i / m.cols() : 0;
@@ -35,7 +21,7 @@ void CheckFinite(const Matrix& m, const char* label) {
   }
 }
 
-void CheckFinite(const std::vector<double>& v, const char* label) {
+void ReportNonFinite(const std::vector<double>& v, const char* label) {
   for (size_t i = 0; i < v.size(); ++i) {
     if (!std::isfinite(v[i])) {
       SUBREC_CHECK(false) << "non-finite value in " << label << ": entry ["
@@ -44,7 +30,7 @@ void CheckFinite(const std::vector<double>& v, const char* label) {
   }
 }
 
-void CheckFinite(double x, const char* label) {
+void ReportNonFinite(double x, const char* label) {
   if (!std::isfinite(x)) {
     SUBREC_CHECK(false) << "non-finite value in " << label << ": " << x;
   }

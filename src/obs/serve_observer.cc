@@ -2,12 +2,14 @@
 
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace subrec::obs {
 
 ServeObserver::ServeObserver(ServeObserverOptions options)
     : options_(std::move(options)) {
   if (!options_.enabled) return;
-  window_ = std::make_unique<WindowedAggregator>(options_.window);
+  window_ = std::make_unique<WindowedAggregator>(options_.window, NowNs());
   recorder_ = std::make_unique<FlightRecorder>(options_.recorder);
   enabled_.store(true, std::memory_order_relaxed);
 }

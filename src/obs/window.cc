@@ -95,8 +95,9 @@ void WindowSnapshot::WriteJson(JsonWriter* w) const {
   w->EndObject();
 }
 
-WindowedAggregator::WindowedAggregator(WindowOptions options)
-    : options_(std::move(options)) {
+WindowedAggregator::WindowedAggregator(WindowOptions options,
+                                       int64_t start_ns)
+    : options_(std::move(options)), start_ns_(start_ns) {
   SUBREC_CHECK(options_.slice_ns > 0);
   SUBREC_CHECK(options_.num_slices > 0);
   SUBREC_CHECK(options_.num_stripes > 0);
@@ -200,7 +201,12 @@ WindowSnapshot WindowedAggregator::Snapshot(int64_t now_ns) const {
     s.errors = m.errors;
     s.cache_hits = m.cache_hits;
     s.shed = m.shed;
-    s.qps = static_cast<double>(m.requests) / s.window_seconds;
+    // A window longer than the uptime has only seen the uptime's traffic.
+    const int64_t covered_ns = std::min(options_.window_ns[w],
+                                        now_ns - start_ns_);
+    s.qps = covered_ns > 0 ? static_cast<double>(m.requests) /
+                                 (static_cast<double>(covered_ns) / 1e9)
+                           : 0.0;
     if (m.requests > 0) {
       const double n = static_cast<double>(m.requests);
       s.mean_us = m.sum_us / n;

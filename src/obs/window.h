@@ -34,7 +34,9 @@ struct WindowOptions {
   std::vector<int64_t> window_ns;
 };
 
-/// Aggregates over one rolling window.
+/// Aggregates over one rolling window. `qps` divides by the time the window
+/// has actually covered: its full length once the aggregator has been up
+/// that long, its uptime before then.
 struct WindowStats {
   double window_seconds = 0.0;
   int64_t requests = 0;
@@ -75,7 +77,10 @@ struct WindowSnapshot {
 /// (obs::NowNs in production) so tests drive the clock explicitly.
 class WindowedAggregator {
  public:
-  explicit WindowedAggregator(WindowOptions options = {});
+  /// `start_ns` is when the aggregator starts covering traffic, on the
+  /// clock the caller passes to Record/Snapshot (obs::NowNs in production).
+  explicit WindowedAggregator(WindowOptions options = {},
+                              int64_t start_ns = 0);
 
   /// Folds one completed request into the slice covering `now_ns`.
   void Record(int64_t now_ns, double latency_us, bool error, bool cache_hit,
@@ -112,6 +117,7 @@ class WindowedAggregator {
   size_t BucketFor(double latency_us) const;
 
   WindowOptions options_;
+  int64_t start_ns_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 

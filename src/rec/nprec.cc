@@ -15,6 +15,7 @@
 #include "nn/init.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "nn/ordered_pull.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/parallel.h"
@@ -35,27 +36,40 @@ constexpr size_t kNodeGrain = 8;
 constexpr size_t kPaperGrain = 16;
 constexpr size_t kCandidateGrain = 16;
 
+}  // namespace
+
 /// One training pair's forward/backward state, built in parallel within a
 /// batch. Parameters only change at the optimizer step (a batch boundary),
-/// so per-pair tapes read frozen values; gradients are pulled serially in
-/// pair order, matching the sequential schedule bit for bit.
-struct PairWork {
+/// so per-pair tapes read frozen values; gradients are pulled in pair order
+/// (nn::OrderedPull), matching the sequential schedule bit for bit.
+struct NPRec::PairWork {
   std::unique_ptr<Tape> tape;
   std::unique_ptr<nn::TapeBinding> binding;
-  std::unordered_map<uint64_t, autodiff::VarId> memo;
-  autodiff::VarId loss = 0;
+  PairScratch scratch;
+  VarId loss = 0;
+  double loss_value = 0.0;
 };
 
-}  // namespace
+void NPRec::PairScratch::Reset(size_t num_nodes, int depth) {
+  const size_t levels = static_cast<size_t>(depth) + 1;
+  const size_t entries = num_nodes * levels * 2;
+  if (memo_stamp.size() < entries) {
+    memo_stamp.assign(entries, 0);
+    memo_var.resize(entries);
+    stamp = 0;
+  }
+  ++stamp;
+  if (scores.size() < levels) {
+    scores.resize(levels);
+    vecs.resize(levels);
+  }
+}
 
 NPRec::NPRec(const NPRecOptions& options, const SubspaceEmbeddings* subspace)
     : options_(options), subspace_(subspace) {
   SUBREC_CHECK(options_.use_text || options_.use_graph)
       << "NPRec needs at least one of text/graph";
   SUBREC_CHECK_GT(options_.depth, 0);
-  // The NodeVecOnTape memo key packs h into 11 bits (see the shift there);
-  // anything deeper would silently collide with the node bits.
-  SUBREC_CHECK_LE(options_.depth, 2047) << "NPRec depth exceeds memo-key range";
   SUBREC_CHECK_GT(options_.neighbor_samples, 0);
   // `subspace` is a non-owning pointer the options make load-bearing; fail
   // at construction in dev builds rather than at first Fit in production.
@@ -163,35 +177,33 @@ const std::vector<Edge>& NPRec::SampledNeighbors(NodeId node,
   return influence_side ? s.influence : s.interest;
 }
 
-autodiff::VarId NPRec::NodeVecOnTape(
-    Tape* tape, nn::TapeBinding* binding, NodeId node, int h,
-    bool influence_side, std::unordered_map<uint64_t, VarId>* memo) const {
-  // Key layout: node | h (11 bits) | side (1 bit). h ranges over
-  // [0, depth] and the constructor bounds depth at 2047, so the fields
-  // cannot overlap (the old 3-bit packing collided for depth > 7).
+autodiff::VarId NPRec::NodeVecOnTape(Tape* tape, nn::TapeBinding* binding,
+                                     NodeId node, int h, bool influence_side,
+                                     PairScratch* scratch) const {
   SUBREC_DCHECK_GE(h, 0);
-  SUBREC_DCHECK_LT(h, 2048);
-  const uint64_t key = (static_cast<uint64_t>(node) << 12) |
-                       (static_cast<uint64_t>(h) << 1) |
-                       (influence_side ? 1u : 0u);
-  auto it = memo->find(key);
-  if (it != memo->end()) return it->second;
+  SUBREC_DCHECK_LE(h, options_.depth);
+  const size_t key =
+      (static_cast<size_t>(node) * (static_cast<size_t>(options_.depth) + 1) +
+       static_cast<size_t>(h)) * 2 + (influence_side ? 1 : 0);
+  SUBREC_DCHECK_LT(key, scratch->memo_stamp.size());
+  if (scratch->memo_stamp[key] == scratch->stamp) return scratch->memo_var[key];
 
   VarId result;
   if (h == 0) {
     result = binding->Use(node_embed_[static_cast<size_t>(node)]);
   } else {
     VarId self_prev =
-        NodeVecOnTape(tape, binding, node, h - 1, influence_side, memo);
+        NodeVecOnTape(tape, binding, node, h - 1, influence_side, scratch);
     const std::vector<Edge>& neighbors =
         SampledNeighbors(node, influence_side);
     VarId sum = self_prev;
     if (!neighbors.empty()) {
       VarId leaf_self = binding->Use(node_embed_[static_cast<size_t>(node)]);
-      std::vector<VarId> scores;
-      std::vector<VarId> vecs;
-      scores.reserve(neighbors.size());
-      vecs.reserve(neighbors.size());
+      // Level-h lists: the recursion below only touches levels < h.
+      std::vector<VarId>& scores = scratch->scores[static_cast<size_t>(h)];
+      std::vector<VarId>& vecs = scratch->vecs[static_cast<size_t>(h)];
+      scores.clear();
+      vecs.clear();
       for (const Edge& e : neighbors) {
         VarId leaf_nbr =
             binding->Use(node_embed_[static_cast<size_t>(e.dst)]);
@@ -200,8 +212,8 @@ autodiff::VarId NPRec::NodeVecOnTape(
         // pi = <v_e, v_e' o r>: relation-typed scoring function g (Eq. 16).
         scores.push_back(
             tape->MatMulTransB(leaf_self, tape->Mul(leaf_nbr, rel)));
-        vecs.push_back(
-            NodeVecOnTape(tape, binding, e.dst, h - 1, influence_side, memo));
+        vecs.push_back(NodeVecOnTape(tape, binding, e.dst, h - 1,
+                                     influence_side, scratch));
       }
       VarId weights = tape->RowSoftmax(tape->ConcatCols(scores));  // 1 x K
       VarId nmat = tape->ConcatRows(vecs);                          // K x d
@@ -210,15 +222,17 @@ autodiff::VarId NPRec::NodeVecOnTape(
     }
     result = layers_[static_cast<size_t>(h - 1)].Forward(tape, binding, sum);
   }
-  (*memo)[key] = result;
+  scratch->memo_stamp[key] = scratch->stamp;
+  scratch->memo_var[key] = result;
   return result;
 }
 
-autodiff::VarId NPRec::PaperVecOnTape(
-    Tape* tape, nn::TapeBinding* binding, const RecContext& ctx,
-    corpus::PaperId p, bool influence_side,
-    std::unordered_map<uint64_t, VarId>* memo) const {
-  std::vector<VarId> parts;
+autodiff::VarId NPRec::PaperVecOnTape(Tape* tape, nn::TapeBinding* binding,
+                                      const RecContext& ctx,
+                                      corpus::PaperId p, bool influence_side,
+                                      PairScratch* scratch) const {
+  std::vector<VarId>& parts = scratch->parts;
+  parts.clear();
   if (options_.use_text) {
     const size_t pi = static_cast<size_t>(p);
     VarId lam = tape->RowSoftmax(binding->Use(text_attn_));
@@ -262,14 +276,15 @@ autodiff::VarId NPRec::PaperVecOnTape(
   if (options_.use_graph) {
     const NodeId node = ctx.graph->paper_nodes[static_cast<size_t>(p)];
     parts.push_back(NodeVecOnTape(tape, binding, node, options_.depth,
-                                  influence_side, memo));
+                                  influence_side, scratch));
   }
   if (PriorEnabled()) {
     if (influence_side) {
-      Matrix f(1, 2);
+      Matrix& f = scratch->prior;
+      f.ResizeZero(1, 2);
       f(0, 0) = prior_features_(static_cast<size_t>(p), 0);
       f(0, 1) = prior_features_(static_cast<size_t>(p), 1);
-      parts.push_back(tape->Constant(std::move(f)));
+      parts.push_back(tape->Constant(f));
     } else {
       parts.push_back(binding->Use(prior_weight_));
     }
@@ -414,20 +429,31 @@ Status NPRec::Fit(const RecContext& ctx) {
     reg_params.push_back(text_proj_interest_->weight());
     reg_params.push_back(text_proj_influence_->weight());
   }
+  nn::L2Regularizer l2(std::move(reg_params), options_.lambda);
 
   nn::Adam optimizer(options_.learning_rate, 0.9, 0.999, 1e-8,
                      options_.weight_decay);
   const std::vector<nn::Parameter*> params = store_.params();
   const size_t batch =
       options_.batch_size > 0 ? static_cast<size_t>(options_.batch_size) : 1;
+  const size_t num_nodes =
+      options_.use_graph ? ctx.graph->graph.num_nodes() : 0;
   // Tapes are pooled across pairs so each worker reuses a warmed-up node
-  // arena; work slots keep their TapeBinding and memo so those containers
-  // recycle their storage too. Which arena a pair lands on affects only
-  // memory reuse, never the floating-point schedule.
+  // arena; work slots keep their TapeBinding and scratch so those recycle
+  // their storage too. Which arena a pair lands on affects only memory
+  // reuse, never the floating-point schedule.
   autodiff::TapePool tape_pool;
   std::vector<PairWork> work;
+  nn::OrderedPull puller;
+  // Adds one finished pair's gradients into the parameters; OrderedPull
+  // runs it in pair order, one pair at a time.
+  const auto pull = [&](size_t w) {
+    PairWork& pw = work[w];
+    pw.binding->PullGradients();
+    pw.loss_value = pw.tape->value(pw.loss)(0, 0);
+    tape_pool.Release(std::move(pw.tape));
+  };
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    SUBREC_TRACE_SPAN("nprec/epoch");
     epochs_counter->Increment();
     pair_steps->Increment(static_cast<int64_t>(pairs.size()));
     double epoch_loss = 0.0;
@@ -437,53 +463,64 @@ Status NPRec::Fit(const RecContext& ctx) {
       // values are frozen until the step below, so the pairs are
       // independent and chunking cannot change any result.
       PrepareRawUnitCache(pairs, b0, b1);
+      l2.Refresh();
       work.resize(b1 - b0);
-      par::ParallelFor(b1 - b0, 1, [&](size_t w_begin, size_t w_end) {
-        for (size_t w = w_begin; w < w_end; ++w) {
-          const TrainingPair& pair = pairs[b0 + w];
-          std::unique_ptr<Tape> tape = tape_pool.Acquire();
-          if (work[w].binding == nullptr)
-            work[w].binding = std::make_unique<nn::TapeBinding>();
-          nn::TapeBinding* binding = work[w].binding.get();
-          binding->Reset(tape.get());
-          std::unordered_map<uint64_t, VarId>& memo = work[w].memo;
-          memo.clear();
-          VarId vp = PaperVecOnTape(tape.get(), binding, ctx,
-                                    pair.citing,
-                                    /*influence_side=*/false, &memo);
-          VarId vq = PaperVecOnTape(tape.get(), binding, ctx,
-                                    pair.cited,
-                                    /*influence_side=*/true, &memo);
-          VarId logit = tape->MatMulTransB(vp, vq);  // Eq. 22
-          VarId loss = tape->SigmoidBce(logit, Matrix(1, 1, pair.label));
-          if (options_.label_smoothness > 0.0 && pair.label > 0.5 &&
-              options_.use_graph) {
-            VarId lp = binding->Use(node_embed_[static_cast<size_t>(
-                ctx.graph->paper_nodes[static_cast<size_t>(pair.citing)])]);
-            VarId lq = binding->Use(node_embed_[static_cast<size_t>(
-                ctx.graph->paper_nodes[static_cast<size_t>(pair.cited)])]);
-            loss = tape->Add(loss,
-                             tape->Scale(tape->SumSquares(tape->Sub(lp, lq)),
-                                         options_.label_smoothness));
+      puller.Begin(b1 - b0);
+      {
+        SUBREC_TRACE_SPAN("nprec/pairs");
+        par::ParallelFor(b1 - b0, 1, [&](size_t w_begin, size_t w_end) {
+          for (size_t w = w_begin; w < w_end; ++w) {
+            const TrainingPair& pair = pairs[b0 + w];
+            std::unique_ptr<Tape> tape = tape_pool.Acquire();
+            if (work[w].binding == nullptr)
+              work[w].binding = std::make_unique<nn::TapeBinding>();
+            nn::TapeBinding* binding = work[w].binding.get();
+            binding->Reset(tape.get());
+            PairScratch* scratch = &work[w].scratch;
+            scratch->Reset(num_nodes, options_.depth);
+            VarId vp = PaperVecOnTape(tape.get(), binding, ctx, pair.citing,
+                                      /*influence_side=*/false, scratch);
+            VarId vq = PaperVecOnTape(tape.get(), binding, ctx, pair.cited,
+                                      /*influence_side=*/true, scratch);
+            VarId logit = tape->MatMulTransB(vp, vq);  // Eq. 22
+            scratch->label.ResizeZero(1, 1);
+            scratch->label(0, 0) = pair.label;
+            VarId loss = tape->SigmoidBce(logit, scratch->label);
+            if (options_.label_smoothness > 0.0 && pair.label > 0.5 &&
+                options_.use_graph) {
+              VarId lp = binding->Use(node_embed_[static_cast<size_t>(
+                  ctx.graph->paper_nodes[static_cast<size_t>(pair.citing)])]);
+              VarId lq = binding->Use(node_embed_[static_cast<size_t>(
+                  ctx.graph->paper_nodes[static_cast<size_t>(pair.cited)])]);
+              loss = tape->Add(
+                  loss, tape->Scale(tape->SumSquares(tape->Sub(lp, lq)),
+                                    options_.label_smoothness));
+            }
+            loss = l2.AddTo(tape.get(), binding, loss);
+            tape->Backward(loss);
+            work[w].tape = std::move(tape);
+            work[w].loss = loss;
+            puller.Done(w, pull);
           }
-          loss = nn::AddL2Regularizer(tape.get(), binding, loss,
-                                      reg_params, options_.lambda);
-          tape->Backward(loss);
-          work[w].tape = std::move(tape);
-          work[w].loss = loss;
-        }
-      });
-      // Gradient accumulation stays serial and in pair order — the same
-      // floating-point addition sequence the sequential loop performs.
-      for (PairWork& pw : work) {
-        pw.binding->PullGradients();
-        const double lv = pw.tape->value(pw.loss)(0, 0);
-        SUBREC_CHECK_FINITE(lv, "NPRec pair loss");
-        epoch_loss += lv;
-        tape_pool.Release(std::move(pw.tape));
+        });
       }
-      nn::ClipGradNorm(params, options_.clip_norm);
-      optimizer.Step(params);
+      {
+        SUBREC_TRACE_SPAN("nprec/grad_pull");
+        puller.Finish(pull);
+        // The loss sum stays serial and in pair order.
+        for (const PairWork& pw : work) {
+          SUBREC_CHECK_FINITE(pw.loss_value, "NPRec pair loss");
+          epoch_loss += pw.loss_value;
+        }
+      }
+      {
+        SUBREC_TRACE_SPAN("nprec/clip");
+        nn::ClipGradNorm(params, options_.clip_norm);
+      }
+      {
+        SUBREC_TRACE_SPAN("nprec/optimizer_step");
+        optimizer.Step(params);
+      }
     }
     const double mean_loss = epoch_loss / static_cast<double>(pairs.size());
     train_stats_.epoch_loss.push_back(mean_loss);

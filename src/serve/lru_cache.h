@@ -90,6 +90,21 @@ class ShardedLruCache {
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t num_shards() const { return shards_.size(); }
 
+  /// The shard `key` lives in. The key's hash goes through a splitmix64
+  /// finalizer first: std::hash of an integer is the identity in common
+  /// standard libraries, so keys that differ only in their high bits (the
+  /// service's user field above a fixed n) would otherwise all land on one
+  /// shard and share its 1/num_shards of the capacity.
+  size_t ShardOf(const K& key) const {
+    uint64_t h = static_cast<uint64_t>(Hash{}(key));
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    return static_cast<size_t>(h % shards_.size());
+  }
+
  private:
   struct Shard {
     mutable common::Mutex mu;
@@ -100,9 +115,7 @@ class ShardedLruCache {
         map SUBREC_GUARDED_BY(mu);
   };
 
-  Shard& ShardFor(const K& key) {
-    return *shards_[Hash{}(key) % shards_.size()];
-  }
+  Shard& ShardFor(const K& key) { return *shards_[ShardOf(key)]; }
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t per_shard_capacity_;

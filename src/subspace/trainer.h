@@ -39,6 +39,15 @@ struct SemTrainStats {
   double final_order_accuracy = 0.0;
 };
 
+/// Fraction of `triplets` whose model distances satisfy the rule ordering,
+/// D(anchor, positive) > D(anchor, negative). Embeds each distinct triplet
+/// paper once, in parallel, and compares TwinNetwork::DistanceBetween on
+/// the cached embeddings: Embed is a pure function of the features and the
+/// frozen weights, so this equals calling Distance per triplet.
+double OrderAccuracy(const std::vector<rules::PaperContentFeatures>& features,
+                     const std::vector<Triplet>& triplets,
+                     const TwinNetwork& net);
+
 /// Fine-tunes `net` on mined triplets with the hinge contrast loss
 /// max(0, D(p,q') - D(p,q) + eps) + lambda*||theta||^2, Adam, and gradient
 /// clipping. `features` is indexed by PaperId.

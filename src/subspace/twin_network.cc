@@ -47,9 +47,15 @@ double TwinNetwork::Distance(const rules::PaperContentFeatures& p,
   const auto ep = Embed(p);
   const auto eq = Embed(q);
   SUBREC_CHECK(k >= 0 && static_cast<size_t>(k) < ep.size());
+  return DistanceBetween(ep[static_cast<size_t>(k)],
+                         eq[static_cast<size_t>(k)]);
+}
+
+double TwinNetwork::DistanceBetween(const std::vector<double>& cp,
+                                    const std::vector<double>& cq) {
+  SUBREC_CHECK_EQ(cp.size(), cq.size());
   double dot = 0.0;
-  for (size_t i = 0; i < ep[static_cast<size_t>(k)].size(); ++i)
-    dot += ep[static_cast<size_t>(k)][i] * eq[static_cast<size_t>(k)][i];
+  for (size_t i = 0; i < cp.size(); ++i) dot += cp[i] * cq[i];
   return -dot;
 }
 

@@ -37,6 +37,11 @@ class TwinNetwork {
   double Distance(const rules::PaperContentFeatures& p,
                   const rules::PaperContentFeatures& q, int k) const;
 
+  /// D^k from two already-computed subspace-k embeddings (rows of Embed):
+  /// -cp . cq summed in index order, exactly the value Distance returns.
+  static double DistanceBetween(const std::vector<double>& cp,
+                                const std::vector<double>& cq);
+
   nn::ParameterStore* store() { return &store_; }
   const SubspaceEncoderOptions& options() const { return net_.options(); }
   size_t embedding_dim() const { return net_.output_dim(); }

@@ -3,6 +3,7 @@
 // instead of silently poisoning downstream metrics.
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "autodiff/tape.h"
@@ -37,7 +38,54 @@ TEST(CheckFiniteDeathTest, ReportsLabelAndPosition) {
                "unit test scalar");
 }
 
+TEST(CheckFiniteDeathTest, FastPathReportsFirstBadEntryOfEachKind) {
+  // The vectorized scan only decides *whether* to report; the message must
+  // still name the first non-finite entry, its coordinates and its value,
+  // for NaN, +inf and -inf alike, wherever it sits in a long row.
+  const double kBad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  const char* const kPrinted[] = {"nan", "inf", "-inf"};
+  for (int k = 0; k < 3; ++k) {
+    Matrix m(3, 37, 0.25);
+    m(2, 30) = -kBad[k];  // a later bad entry must not be the one reported
+    m(1, 5) = kBad[k];
+    const std::string want = std::string("tensor ") +
+                             std::to_string(k) + ": entry \\(1,5\\) = " +
+                             kPrinted[k] + " of 3x37";
+    EXPECT_DEATH(subrec::la::CheckFinite(
+                     m, ("tensor " + std::to_string(k)).c_str()),
+                 want);
+    std::vector<double> v(75, -3.0);
+    v[74] = kBad[k];
+    v[41] = kBad[k];
+    EXPECT_DEATH(subrec::la::CheckFinite(v, "vector"),
+                 std::string("vector: entry \\[41\\] = ") + kPrinted[k] +
+                     " of 75");
+  }
+  // Largest finite values, denormals and signed zeros are finite.
+  Matrix edge(1, 5);
+  edge(0, 0) = std::numeric_limits<double>::max();
+  edge(0, 1) = -std::numeric_limits<double>::max();
+  edge(0, 2) = std::numeric_limits<double>::denorm_min();
+  edge(0, 3) = -0.0;
+  edge(0, 4) = std::numeric_limits<double>::min();
+  EXPECT_TRUE(subrec::la::AllFinite(edge));
+  subrec::la::CheckFinite(edge, "edge values");
+}
+
 #if defined(SUBREC_NUMERIC_CHECKS) && SUBREC_NUMERIC_CHECKS
+
+TEST(NumericGuardDeathTest, OptimizerStepReportsFirstBadGradientEntry) {
+  // Adam's fused pass checks the grad in the same loop as the update; the
+  // report must still be the first bad grad entry, with coordinates.
+  subrec::nn::ParameterStore store;
+  subrec::nn::Parameter* p = store.Create("w", Matrix(2, 4, 0.5));
+  p->grad(1, 1) = -std::numeric_limits<double>::infinity();
+  p->grad(1, 3) = std::nan("");
+  subrec::nn::Adam adam(0.1);
+  EXPECT_DEATH(adam.Step(store.params()),
+               "optimizer step gradient: entry \\(1,1\\) = -inf of 2x4");
+}
 
 TEST(NumericGuardDeathTest, OptimizerStepCatchesNanGradient) {
   subrec::nn::ParameterStore store;

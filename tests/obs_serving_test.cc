@@ -352,6 +352,52 @@ TEST(WindowedAggregator, SingleBurstCountsRatesAndPercentiles) {
   EXPECT_NEAR(w10.qps, 10.0, 1e-9);  // same burst over a 10x longer window
 }
 
+obs::WindowOptions SecondSliceWindows() {
+  obs::WindowOptions wo;
+  wo.slice_ns = 1'000'000'000;
+  wo.num_slices = 64;
+  wo.num_stripes = 2;
+  wo.window_ns = {1'000'000'000, 10'000'000'000, 60'000'000'000};
+  return wo;
+}
+
+TEST(WindowedAggregator, QpsAtStartupDividesByUptime) {
+  // Up for one second at 2000 qps: every window has seen one second of
+  // traffic, so every window reports 2000 qps (not 200 and 33).
+  const int64_t start = 100'000'000'000;
+  obs::WindowedAggregator agg(SecondSliceWindows(), start);
+  for (int64_t i = 0; i < 2000; ++i)
+    agg.Record(start + i * 500'000, 20.0, false, false, false);
+  const obs::WindowSnapshot snap = agg.Snapshot(start + 1'000'000'000 - 1);
+  for (double seconds : {1.0, 10.0, 60.0}) {
+    EXPECT_EQ(snap.Closest(seconds).requests, 2000) << seconds;
+    EXPECT_NEAR(snap.Closest(seconds).qps, 2000.0, 1e-3) << seconds;
+  }
+  // No time covered yet: no rate.
+  EXPECT_EQ(agg.Snapshot(start).Closest(10.0).qps, 0.0);
+}
+
+TEST(WindowedAggregator, QpsJustAfterWindowBoundaryUsesFullWindow) {
+  // A steady 100 qps from `start` on. Until the uptime reaches 10 s the
+  // 10 s window divides by the uptime; in the first slice after that, by
+  // its own length. The 60 s window keeps dividing by the uptime.
+  const int64_t start = 100'000'000'000;
+  obs::WindowedAggregator agg(SecondSliceWindows(), start);
+  for (int64_t i = 0; i < 1100; ++i)
+    agg.Record(start + i * 10'000'000, 20.0, false, false, false);
+  const int64_t ten_s = 10'000'000'000;
+  const obs::WindowSnapshot before = agg.Snapshot(start + ten_s - 1);
+  EXPECT_EQ(before.Closest(10.0).requests, 1000);
+  EXPECT_NEAR(before.Closest(10.0).qps, 100.0, 1e-6);
+  EXPECT_NEAR(before.Closest(60.0).qps, 100.0, 1e-6);
+  const obs::WindowSnapshot after =
+      agg.Snapshot(start + ten_s + 1'000'000'000 - 1);
+  EXPECT_EQ(after.Closest(10.0).requests, 1000);  // the oldest slice aged out
+  EXPECT_NEAR(after.Closest(10.0).qps, 100.0, 1e-6);
+  EXPECT_EQ(after.Closest(60.0).requests, 1100);
+  EXPECT_NEAR(after.Closest(60.0).qps, 100.0, 1e-6);
+}
+
 TEST(WindowedAggregator, SlicesAgeOutOfShortWindowsFirst) {
   obs::WindowOptions wo;
   wo.slice_ns = 1'000'000'000;

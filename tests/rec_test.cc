@@ -10,6 +10,7 @@
 #include "datagen/datasets.h"
 #include "datagen/split.h"
 #include "graph/academic_graph.h"
+#include "la/ops.h"
 #include "rec/baselines_quality.h"
 #include "rec/candidate_sets.h"
 #include "rec/embedding_baselines.h"

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -235,6 +236,26 @@ TEST(LruCache, ClearInvalidatesEverything) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.Get(5).has_value());
+}
+
+TEST(LruCache, KeysDifferingOnlyInUserSpreadOverEveryShard) {
+  // The service's key layout: user in bits 16..47, n = 10 in the low bits.
+  // Without mixing, every such key lands on shard 10 % 16 and the cache
+  // holds only one shard's 256 entries.
+  constexpr size_t kShards = 16;
+  constexpr uint64_t kKeys = 4096;
+  ShardedLruCache<uint64_t, int> cache(kKeys, kShards);
+  std::vector<int> per_shard(kShards, 0);
+  for (uint64_t user = 0; user < kKeys; ++user) {
+    const uint64_t key = (user << 16) | 10u;
+    ++per_shard[cache.ShardOf(key)];
+    cache.Put(key, static_cast<int>(user));
+  }
+  for (size_t s = 0; s < kShards; ++s)
+    EXPECT_GT(per_shard[s], 0) << "shard " << s << " never used";
+  // Capacity 4096 over 16 shards: each shard keeps 256, so only a shard's
+  // overflow beyond its share is evicted.
+  EXPECT_GT(cache.size(), kKeys * 9 / 10);
 }
 
 /// ThreadPool + cache hammer: concurrent Get/Put/Clear across shards. Run
@@ -941,8 +962,11 @@ class ServiceTest : public ::testing::Test {
   static void SetUpTestSuite() {
     world_ = BuildWorld(
         datagen::ScopusLikeOptions(datagen::DatasetScale::kTiny, 99)).release();
+    // One file per process: ctest runs each test of this suite in its own
+    // process, and every one of them writes the fixture snapshot.
     snapshot_path_ = new std::string(::testing::TempDir() +
-                                     "/subrec_service_test.snap");
+                                     "/subrec_service_test." +
+                                     std::to_string(::getpid()) + ".snap");
     SnapshotWriter writer(FreezeNPRec(world_->ctx, *world_->model, "scopus"));
     SUBREC_CHECK(writer.WriteFile(*snapshot_path_).ok());
   }
