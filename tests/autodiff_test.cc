@@ -3,6 +3,7 @@
 #include "autodiff/grad_check.h"
 #include "autodiff/tape.h"
 #include "autodiff/tape_pool.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "la/ops.h"
 
@@ -251,6 +252,20 @@ TEST(GradCheck, SigmoidBceDirect) {
   auto r = CheckGradients(fn, {la::Matrix::Random(3, 2, rng, -3, 3)});
   EXPECT_LT(r.max_rel_error, kTol);
 }
+
+#if SUBREC_DCHECK_IS_ON
+TEST(TapeDeathTest, AddL2PenaltyRejectsAStalePenalty) {
+  // The penalty is summed by the caller; one computed before x changed
+  // must not pass silently in debug and sanitizer builds.
+  Tape tape;
+  la::Matrix w(1, 2, 3.0);  // ||w||^2 = 18
+  VarId loss = tape.Constant(la::Matrix(1, 1, 0.5));
+  VarId x = tape.InputRef(&w);
+  EXPECT_DEATH(tape.AddL2Penalty(loss, x, 0.1, 0.1 * 8.0), "AddL2Penalty");
+  const VarId total = tape.AddL2Penalty(loss, x, 0.1, 18.0 * 0.1);
+  EXPECT_EQ(tape.value(total)(0, 0), 0.5 + 18.0 * 0.1);
+}
+#endif
 
 TEST(Tape, ConstantGetsNoGradient) {
   Tape tape;
