@@ -1,10 +1,9 @@
 // Serving load generator: freezes a trained NPRec into a snapshot, serves
 // it through RecommendService, and reports (a) frozen-vs-live top-N parity,
 // (b) closed-loop throughput scaling from 1 to 4 workers (cache off),
-// (c) the pairwise-vs-gemm scorer-mode comparison — per-mode latency
-// percentiles at the service level plus scorer-stage mean latency at the
-// fixed 4096-candidate acceptance shape, with a counting operator new
-// proving the steady-state gemm loop never touches the heap — and
+// (c) the pairwise-vs-gemm scorer-stage mean latency at the fixed
+// 4096-candidate acceptance shape, with a counting operator new proving
+// the steady-state gemm loop never touches the heap — and
 // (d) an open-loop run at a target QPS with the cache on and a mid-run
 // snapshot hot reload. Latency percentiles are computed exactly from
 // per-request monotonic timestamps. SUBREC_BENCH_SMOKE=1 shrinks the corpus
@@ -329,35 +328,6 @@ int main() {
   const serve::ScorerMode kModes[2] = {serve::ScorerMode::kPairwise,
                                        serve::ScorerMode::kGemm};
 
-  // Service level: the identical closed loop under each mode, cache off and
-  // one worker so every request pays the scorer. Fewer requests than the
-  // scaling loop — the pairwise oracle is the slow path by design.
-  const size_t mode_requests = config.closed_loop_requests / 10;
-  double mode_qps[2] = {0.0, 0.0};
-  for (int i = 0; i < 2; ++i) {
-    serve::ServeOptions options;
-    options.num_threads = 1;
-    options.cache_capacity = 0;
-    options.batch_size = 64;
-    options.scorer_mode = kModes[i];
-    serve::RecommendService mode_service(options);
-    SUBREC_CHECK(mode_service.LoadSnapshotFile(snapshot_path).ok());
-    auto [qps, latencies] = ClosedLoop(&mode_service, users, mode_requests);
-    mode_qps[i] = qps;
-    const std::string prefix =
-        std::string("serve.scorer_mode.") + serve::ScorerModeName(kModes[i]);
-    report.AddScalar(prefix + ".qps", qps);
-    report.AddScalar(prefix + ".p50_us", PercentileUs(latencies, 0.50));
-    report.AddScalar(prefix + ".p95_us", PercentileUs(latencies, 0.95));
-    report.AddScalar(prefix + ".p99_us", PercentileUs(latencies, 0.99));
-    std::printf("mode %-8s: %10.0f qps  p50 %.1fus  p99 %.1fus\n",
-                serve::ScorerModeName(kModes[i]), qps,
-                PercentileUs(latencies, 0.50), PercentileUs(latencies, 0.99));
-  }
-  const double mode_speedup = mode_qps[1] / mode_qps[0];
-  report.AddScalar("serve.scorer_mode.service_speedup", mode_speedup);
-  std::printf("service qps, gemm over pairwise: %.2fx\n", mode_speedup);
-
   // Scorer stage at the acceptance shape: 16 profile rows x dim x 4096
   // candidates. Profile and candidate-list sizes at bench scale are
   // corpus-dependent, so cycle the snapshot's papers into fixed-size lists
@@ -441,8 +411,8 @@ int main() {
     options.index.retrieval = kRetrievals[i];
     serve::RecommendService retrieval_service(options);
     SUBREC_CHECK(retrieval_service.LoadSnapshotFile(snapshot_path).ok());
-    auto [qps, latencies] =
-        ClosedLoop(&retrieval_service, users, mode_requests);
+    auto [qps, latencies] = ClosedLoop(&retrieval_service, users,
+                                       config.closed_loop_requests / 10);
     const std::string prefix =
         std::string("serve.retrieval.") + kRetrievalNames[i];
     report.AddScalar(prefix + ".qps", qps);

@@ -1,13 +1,12 @@
 // Training-step throughput of the arena-backed tape: times one SEM
-// twin-network fit and one NPRec fit with the pooled/recycled tape against
-// the legacy allocate-per-item path (toggled via SetTapeLegacyMode in the
-// same binary), at 1 thread and at the default thread count. Also proves
-// the two contracts the rewrite must keep: per-epoch losses are bitwise
-// identical across all paths/thread counts, and a warmed-up tape performs
-// zero slab allocations across Reset/rebuild cycles. The default-thread
-// arena fits are traced, and the seconds of each training phase (pair
-// forward/backward, the serial rest of the gradient pull, clipping, the
-// optimizer step) are reported as phase_s.<model>.<phase>.
+// twin-network fit and one NPRec fit at 1 thread and at the default thread
+// count. Also proves two tape contracts: per-epoch losses are bitwise
+// identical across thread counts, and a warmed-up tape performs zero slab
+// allocations across Reset/rebuild cycles. The default-thread fits are
+// traced, and the seconds of each training phase (pair forward/backward,
+// the serial rest of the gradient pull, clipping, the optimizer step) are
+// reported as phase_s.<model>.<phase>. Speedups are read by comparing two
+// committed reports, not by racing a copy of older code in this binary.
 
 #include <algorithm>
 #include <cmath>
@@ -58,8 +57,7 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 FitRun RunSemFit(const bench::SemWorld& world,
                  const std::vector<subspace::Triplet>& triplets,
                  const subspace::SubspaceEncoderOptions& encoder_options,
-                 int epochs, size_t threads, bool legacy) {
-  autodiff::SetTapeLegacyMode(legacy);
+                 int epochs, size_t threads) {
   par::ScopedNumThreads scoped(threads);
   subspace::TwinNetwork net(encoder_options, /*seed=*/21);
   subspace::SemTrainerOptions trainer_options;
@@ -70,7 +68,6 @@ FitRun RunSemFit(const bench::SemWorld& world,
   auto stats =
       subspace::TrainTwinNetwork(world.features, triplets, trainer_options, &net);
   const double seconds = static_cast<double>(obs::NowNs() - t0) / 1e9;
-  autodiff::SetTapeLegacyMode(false);
   SUBREC_CHECK(stats.ok()) << stats.status().ToString();
 
   const size_t batch = static_cast<size_t>(trainer_options.batch_size);
@@ -87,8 +84,7 @@ FitRun RunSemFit(const bench::SemWorld& world,
 // --- NPRec -----------------------------------------------------------------
 
 FitRun RunNPRecFit(const bench::RecWorld& world, int epochs, int max_positives,
-                   size_t threads, bool legacy) {
-  autodiff::SetTapeLegacyMode(legacy);
+                   size_t threads) {
   par::ScopedNumThreads scoped(threads);
   rec::NPRecOptions options;
   options.epochs = epochs;
@@ -98,7 +94,6 @@ FitRun RunNPRecFit(const bench::RecWorld& world, int epochs, int max_positives,
 
   const int64_t nodes0 = NodesBuiltCounter()->value();
   const Status status = model.Fit(world.ctx);
-  autodiff::SetTapeLegacyMode(false);
   SUBREC_CHECK(status.ok()) << status.ToString();
 
   const rec::NPRecTrainStats& stats = model.train_stats();
@@ -113,25 +108,16 @@ FitRun RunNPRecFit(const bench::RecWorld& world, int epochs, int max_positives,
   return run;
 }
 
-/// Runs {legacy, arena} x {1 thread, default threads} for one model, records
-/// throughput + speedups, and checks the losses are bitwise identical
-/// everywhere. The default-thread ratio is the headline number: on
-/// multi-core hosts the legacy path's per-item slabs sit right at the
-/// allocator's mmap threshold and contend on the kernel's mmap lock exactly
-/// where the pooled tapes run allocation-free (on a single-core host the
-/// two ratios coincide up to noise). Both fit ratios share the model's
-/// full GEMM/elementwise compute; RunTapeMachinery below isolates the
-/// machinery cost the rewrite removed.
-void RunModel(const std::string& key,
-              const std::function<FitRun(size_t, bool)>& fit,
+/// Runs one model's fit at 1 thread and at the default thread count,
+/// records throughput, and checks the losses are bitwise identical across
+/// the two.
+void RunModel(const std::string& key, const std::function<FitRun(size_t)>& fit,
               obs::RunReport* report) {
-  const FitRun legacy1 = fit(1, true);
-  const FitRun new1 = fit(1, false);
-  const FitRun legacy_default = fit(0, true);
-  // The default-thread arena fit also reports where a training step's time
-  // goes: the trainers' per-batch phase spans, summed over the fit.
+  const FitRun threads1 = fit(1);
+  // The default-thread fit also reports where a training step's time goes:
+  // the trainers' per-batch phase spans, summed over the fit.
   obs::TraceRecorder::Global().Enable();
-  const FitRun new_default = fit(0, false);
+  const FitRun threads_default = fit(0);
   const std::vector<obs::SpanTotal> totals =
       obs::TraceRecorder::Global().AggregateTotals();
   obs::TraceRecorder::Global().Disable();
@@ -144,41 +130,22 @@ void RunModel(const std::string& key,
     std::printf("%-6s phase %-15s %8.3f s\n", key.c_str(), phase, seconds);
   }
 
-  SUBREC_CHECK(SameBits(legacy1.losses, new1.losses))
-      << key << ": legacy vs arena losses differ";
-  SUBREC_CHECK(SameBits(new1.losses, new_default.losses))
+  SUBREC_CHECK(SameBits(threads1.losses, threads_default.losses))
       << key << ": 1-thread vs default-thread losses differ";
-  SUBREC_CHECK(SameBits(legacy1.losses, legacy_default.losses))
-      << key << ": legacy 1-thread vs default-thread losses differ";
 
-  const double speedup1 = new1.steps_per_s / legacy1.steps_per_s;
-  const double speedup_default =
-      new_default.steps_per_s / legacy_default.steps_per_s;
-  report->AddScalar("steps_per_s." + key + ".legacy_threads1",
-                    legacy1.steps_per_s);
-  report->AddScalar("steps_per_s." + key + ".legacy_threads_default",
-                    legacy_default.steps_per_s);
-  report->AddScalar("steps_per_s." + key + ".threads1", new1.steps_per_s);
+  report->AddScalar("steps_per_s." + key + ".threads1", threads1.steps_per_s);
   report->AddScalar("steps_per_s." + key + ".threads_default",
-                    new_default.steps_per_s);
-  report->AddScalar("speedup." + key, speedup_default);
-  report->AddScalar("speedup." + key + ".threads1", speedup1);
+                    threads_default.steps_per_s);
   report->AddScalar("tape_nodes." + key,
-                    static_cast<double>(new1.tape_nodes));
-  report->AddScalar("loss_bitwise_match." + key, 1.0);
-  std::printf(
-      "%-6s  1 thread: legacy %8.1f  arena %8.1f steps/s  x%.2f   "
-      "default threads: legacy %8.1f  arena %8.1f steps/s  x%.2f\n",
-      key.c_str(), legacy1.steps_per_s, new1.steps_per_s, speedup1,
-      legacy_default.steps_per_s, new_default.steps_per_s, speedup_default);
+                    static_cast<double>(threads1.tape_nodes));
+  std::printf("%-6s  1 thread: %8.1f steps/s   default threads: %8.1f "
+              "steps/s\n",
+              key.c_str(), threads1.steps_per_s, threads_default.steps_per_s);
 }
 
-/// Times the tape machinery itself — Reset + node construction + closure
-/// vs. opcode backward — on a graph of small matrices where per-node
-/// bookkeeping, not model FLOPs, dominates. The SEM/NPRec fits above share
-/// their (identical) GEMM/elementwise compute between both paths, which
-/// bounds their end-to-end ratio; this probe isolates the cost the rewrite
-/// actually removed. Same bitwise contract: the loss must match exactly.
+/// Times the tape machinery itself — Reset + node construction + opcode
+/// backward — on a graph of small matrices where per-node bookkeeping, not
+/// model FLOPs, dominates. One arena tape is recycled across passes.
 void RunTapeMachinery(obs::RunReport* report) {
   la::Matrix x(1, 8), w(8, 8), b(1, 8);
   for (size_t i = 0; i < x.size(); ++i) x.data()[i] = 0.02 * (i % 23) - 0.2;
@@ -197,40 +164,18 @@ void RunTapeMachinery(obs::RunReport* report) {
     }
     autodiff::VarId loss = tape->SumSquares(h);
     tape->Backward(loss);
-    return tape->value(loss)(0, 0);
   };
 
-  const auto run = [&](bool legacy) {
-    autodiff::SetTapeLegacyMode(legacy);
-    const int passes = bench::SmokeMode() ? 300 : 1500;
-    double loss = 0.0;
-    // Legacy mode allocates a fresh tape per pass, like the old
-    // tape-per-item training loops; the arena path recycles one.
-    autodiff::Tape arena_tape;
-    const int64_t t0 = obs::NowNs();
-    for (int p = 0; p < passes; ++p) {
-      if (legacy) {
-        autodiff::Tape fresh;
-        loss = one_pass(&fresh);
-      } else {
-        loss = one_pass(&arena_tape);
-      }
-    }
-    const double seconds = static_cast<double>(obs::NowNs() - t0) / 1e9;
-    autodiff::SetTapeLegacyMode(false);
-    return std::make_pair(passes / std::max(seconds, 1e-9), loss);
-  };
-
-  const auto [legacy_rate, legacy_loss] = run(true);
-  const auto [arena_rate, arena_loss] = run(false);
-  SUBREC_CHECK(legacy_loss == arena_loss)
-      << "tape machinery: legacy vs arena loss differs";
-  report->AddScalar("steps_per_s.tape_machinery.legacy", legacy_rate);
-  report->AddScalar("steps_per_s.tape_machinery", arena_rate);
-  report->AddScalar("speedup.tape_machinery", arena_rate / legacy_rate);
-  std::printf("tape machinery (604-node small-matrix graph): legacy %8.1f  "
-              "arena %8.1f passes/s  x%.2f\n",
-              legacy_rate, arena_rate, arena_rate / legacy_rate);
+  const int passes = bench::SmokeMode() ? 300 : 1500;
+  autodiff::Tape tape;
+  const int64_t t0 = obs::NowNs();
+  for (int p = 0; p < passes; ++p) one_pass(&tape);
+  const double seconds = static_cast<double>(obs::NowNs() - t0) / 1e9;
+  const double rate = passes / std::max(seconds, 1e-9);
+  report->AddScalar("steps_per_s.tape_machinery", rate);
+  std::printf("tape machinery (604-node small-matrix graph): %8.1f "
+              "passes/s\n",
+              rate);
 }
 
 /// Direct zero-allocation probe: after one warmup pass, Reset + rebuild of
@@ -276,7 +221,7 @@ int main() {
                                             /*enable_tracing=*/false);
   const bool smoke = bench::SmokeMode();
   if (bench::SingleCoreHost()) {
-    std::printf("note: single-core host — default-thread speedups measure "
+    std::printf("note: single-core host — default-thread rates measure "
                 "the serial code path only\n");
   }
 
@@ -315,9 +260,9 @@ int main() {
 
   const int sem_epochs = smoke ? 1 : 2;
   RunModel("sem",
-           [&](size_t threads, bool legacy) {
+           [&](size_t threads) {
              return RunSemFit(*sem_world, triplets, encoder_options, sem_epochs,
-                              threads, legacy);
+                              threads);
            },
            &report);
 
@@ -329,9 +274,9 @@ int main() {
   const int nprec_epochs = smoke ? 1 : 2;
   const int nprec_positives = smoke ? 150 : 600;
   RunModel("nprec",
-           [&](size_t threads, bool legacy) {
+           [&](size_t threads) {
              return RunNPRecFit(*rec_world, nprec_epochs, nprec_positives,
-                                threads, legacy);
+                                threads);
            },
            &report);
 

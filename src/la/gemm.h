@@ -11,17 +11,19 @@ namespace subrec::la::internal {
 inline constexpr size_t kGemmMr = 4;
 
 /// Accumulates C[row0..row_end) += A * B on row-major buffers with leading
-/// dimensions lda/ldb/ldc (A is m x k, B is k x n, C is m x n). Both
-/// variants run the exact same per-element floating-point sequence — each
-/// C(i,j) accumulates its k products in ascending-k order — so the result
-/// is identical whether a row lands in a full register tile or in an edge
-/// loop, and therefore identical for any row-range split.
+/// dimensions lda/ldb/ldc (A is m x k, B is k x n, C is m x n). Each C(i,j)
+/// accumulates its k products in ascending-k order, and whether it takes
+/// the register tile or the edge loop depends on the shape alone, so the
+/// result is identical for any row-range split.
 ///
 /// The three symbols are the same kernel compiled for different ISAs: the
 /// generic one with the project-wide baseline flags, the Avx2 one with
 /// -mavx2 -mfma, the Avx512 one with -mavx512f -mfma (each falls back to
 /// the next-narrower kernel when the toolchain or target lacks its ISA).
-/// Pick via GemmAvx512Available()/GemmAvx2Available() once per process.
+/// The Avx2 and Avx512 kernels produce identical bits. The generic kernel
+/// does not fuse multiply and add, so it differs from both in the last
+/// bits. Pick via GemmAvx512Available()/GemmAvx2Available() once per
+/// process.
 void GemmRowRangeGeneric(const double* a, size_t lda, const double* b,
                          size_t ldb, double* c, size_t ldc, size_t row0,
                          size_t row_end, size_t k, size_t n);

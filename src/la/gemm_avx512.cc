@@ -2,8 +2,9 @@
 // src/CMakeLists.txt); anywhere else it degrades to the AVX2 kernel (which
 // itself degrades to generic) and GemmAvx512Available() reports false so
 // nothing dispatches here. Bit-for-bit identical to the AVX2 kernel: the
-// wider vectors only regroup the lanes of a tile row, every element still
-// sees one fused multiply-add per k step in ascending-k order.
+// wider vectors only regroup the lanes of a tile row, the tile/edge column
+// split is shared (gemm_kernel.h), and every element still sees one fused
+// multiply-add per k step in ascending-k order.
 
 #include "la/gemm.h"
 

@@ -9,8 +9,10 @@
 // GNU vector types sized to the TU's widest native vector (a plain scalar
 // path covers non-GNU toolchains). The vector width only changes how the
 // kNr columns of a tile row are grouped into registers; it never changes
-// any element's multiply-add sequence, so all three TUs produce identical
-// bits.
+// any element's multiply-add sequence, so the two FMA TUs produce identical
+// bits (GemmKernels.Avx2MatchesAvx512BitForBit). The generic TU has no FMA:
+// it rounds each multiply and each add separately, so its bits differ from
+// both and it is checked for accuracy only.
 
 #include <algorithm>
 #include <cstddef>
@@ -27,11 +29,11 @@ namespace SUBREC_GEMM_NS {
 // once per k step, and each loaded B vector serves four output rows.
 // Every C(i,j) element — tile or edge path — receives its k products
 // strictly in ascending-k order, one (possibly fused) multiply-add at a
-// time, which makes the result independent of how rows are grouped or
-// split across threads, and independent of the tile width kNr (which is
-// why the AVX-512 TU may use a wider tile and still match the others
-// bit for bit). kMr is fixed at 4 everywhere: it defines the row-split
-// grid the parallel driver uses.
+// time, which makes the result independent of how rows are split across
+// threads and of the tile width kNr (which is why the AVX-512 TU may use a
+// wider tile and still match the AVX2 TU bit for bit, given the shared
+// tile/edge split in GemmRowBlock). kMr is fixed at 4 everywhere: it
+// defines the row-split grid the parallel driver uses.
 inline constexpr size_t kMr = 4;
 #if (defined(__GNUC__) || defined(__clang__)) && defined(__AVX512F__)
 inline constexpr size_t kNr = 16;  // two 8-lane vectors per tile row
@@ -183,26 +185,34 @@ inline void GemmTile(const double* a, size_t lda, const double* b,
 
 #endif
 
+// Full tiles cover columns [0, n/kTileSplit*kTileSplit); the rest, and
+// every row group short of kMr rows, run through the edge loop. The split
+// is a multiple of the widest tile (AVX-512's 16) in every TU, so a column
+// takes the tile path in one TU exactly when it does in all of them. The
+// tile and the edge loop may round differently (the compiler is free to
+// fuse the multiply-add in one and not the other), so splitting at each
+// TU's own kNr would hand columns 8..15 of a 16-wide block to the AVX2
+// tile but to the AVX-512 edge loop, and the two kernels would disagree.
+inline constexpr size_t kTileSplit = 16;
+static_assert(kTileSplit % kNr == 0, "every tile width must divide the split");
+
 inline void GemmRowBlock(const double* a, size_t lda, const double* b,
                          size_t ldb, double* c, size_t ldc, size_t row0,
                          size_t row_end, size_t k, size_t n) {
+  const size_t n_tiled = n / kTileSplit * kTileSplit;
   for (size_t i = row0; i < row_end; i += kMr) {
     const size_t mr = std::min(kMr, row_end - i);
-    for (size_t j = 0; j < n; j += kNr) {
-      const size_t nr = std::min(kNr, n - j);
-      if (mr == kMr && nr == kNr) {
-        GemmTile(a, lda, b, ldb, c, ldc, i, j, k);
-      } else {
-        // Edge tiles: same ascending-k single multiply-add per element.
-        for (size_t r = 0; r < mr; ++r) {
-          const double* ar = a + (i + r) * lda;
-          double* cr = c + (i + r) * ldc + j;
-          for (size_t q = 0; q < nr; ++q) {
-            double s = cr[q];
-            for (size_t p = 0; p < k; ++p) s += ar[p] * b[p * ldb + j + q];
-            cr[q] = s;
-          }
-        }
+    const size_t edge0 = mr == kMr ? n_tiled : 0;
+    for (size_t j = 0; j < edge0; j += kNr)
+      GemmTile(a, lda, b, ldb, c, ldc, i, j, k);
+    // Edge: same ascending-k single multiply-add per element.
+    for (size_t r = 0; r < mr; ++r) {
+      const double* ar = a + (i + r) * lda;
+      double* cr = c + (i + r) * ldc;
+      for (size_t q = edge0; q < n; ++q) {
+        double s = cr[q];
+        for (size_t p = 0; p < k; ++p) s += ar[p] * b[p * ldb + q];
+        cr[q] = s;
       }
     }
   }

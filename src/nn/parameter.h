@@ -123,12 +123,8 @@ class TapeBinding {
   autodiff::VarId Use(Parameter* p) {
     Slot& slot = slots_[*p];
     if (slot.stamp == stamp_) return slot.var;
-    // Legacy mode re-uploads a copy per pass so bench/train_step can price
-    // the pre-arena behavior; values are identical either way.
     const autodiff::VarId id =
-        autodiff::TapeLegacyMode()
-            ? tape_->Input(p->value, /*requires_grad=*/true)
-            : tape_->InputRef(&p->value, /*requires_grad=*/true);
+        tape_->InputRef(&p->value, /*requires_grad=*/true);
     slot.stamp = stamp_;
     slot.var = id;
     bound_.emplace_back(p, id);

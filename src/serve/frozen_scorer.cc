@@ -181,9 +181,11 @@ void FrozenScorer::ScoreStackedCore(const StackedRequest* requests,
   // Pack every profile's interest rows into one contiguous A block, in
   // request order then ascending profile order — the epilogue's per-segment
   // mean walks rows in exactly the order the oracle walks the profile.
+  // With k == 0 there is nothing to pack (and the empty interest matrix has
+  // no storage, so memcpy would be handed a null source).
   double* packed = s.packed.data();
   size_t row = 0;
-  for (size_t r = 0; r < count; ++r) {
+  for (size_t r = 0; r < count && k > 0; ++r) {
     for (int32_t pid : *requests[r].profile) {
       SUBREC_DCHECK_GE(pid, 0);
       SUBREC_DCHECK_LT(static_cast<size_t>(pid), interest_.rows());

@@ -17,11 +17,12 @@ struct ScoredPaper {
   double score = 0.0;
 };
 
-/// Which scoring engine serves a request. Both produce bit-identical
+/// Which scoring engine a TopN call runs. Both produce bit-identical
 /// scores (asserted by tests on every preset); they differ only in cost:
-/// kPairwise walks (profile x candidate) pairs one la::Dot at a time,
-/// kGemm batches each request into blocked GEMM tiles with a fused
-/// sigmoid-mean epilogue.
+/// kPairwise walks (profile x candidate) pairs one la::Dot at a time and is
+/// the oracle tests compare against, kGemm batches each request into
+/// blocked GEMM tiles with a fused sigmoid-mean epilogue and is what
+/// RecommendService serves with.
 enum class ScorerMode : int {
   kPairwise = 0,
   kGemm,

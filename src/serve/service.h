@@ -15,11 +15,11 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "obs/serve_observer.h"
+#include "par/thread_pool.h"
 #include "serve/candidate_index.h"
 #include "serve/frozen_scorer.h"
 #include "serve/lru_cache.h"
 #include "serve/snapshot.h"
-#include "serve/thread_pool.h"
 
 namespace subrec::serve {
 
@@ -54,10 +54,6 @@ struct ServeOptions {
   size_t cache_shards = 16;
   /// Requests grouped into one pool task by SubmitBatch/TopNBatch.
   size_t batch_size = 8;
-  /// Which scoring engine serves cache-missing requests. Both are
-  /// bit-identical; kGemm additionally lets a batch chunk coalesce
-  /// requests that share a candidate list into one stacked GEMM.
-  ScorerMode scorer_mode = ScorerMode::kGemm;
   CandidateIndexOptions index;
   /// Serving-path observability (rolling windows, flight recorder, stage
   /// traces). Disabled by default: the only per-request cost is then one
@@ -168,7 +164,7 @@ class RecommendService {
       SUBREC_UNGUARDED("constructed once; internally synchronized");
   // Declared last: the pool's destructor drains queued tasks that call
   // TopN, which must still see a live cache_ and state_.
-  ThreadPool pool_ SUBREC_UNGUARDED("internally synchronized");
+  par::ThreadPool pool_ SUBREC_UNGUARDED("internally synchronized");
 };
 
 }  // namespace subrec::serve

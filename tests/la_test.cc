@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "la/ann_kernel.h"
+#include "la/gemm.h"
 #include "la/matrix.h"
 #include "la/ops.h"
 #include "la/score_math.h"
@@ -248,6 +249,51 @@ TEST(BlockedGemm, BitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(outs[0].size(), outs[v].size());
     for (size_t i = 0; i < outs[0].size(); ++i)
       ASSERT_EQ(outs[0][i], outs[v][i]) << "flat index " << i;
+  }
+}
+
+// ---- Per-ISA GEMM kernels, called directly. The two FMA kernels must agree
+// bit for bit at every width: which one a host dispatches to may never move
+// a trained bit. The column counts cover n mod 16 in [8, 15] (9, 24, 59),
+// where the AVX2 tile is narrower than the AVX-512 one, and the wholly-tiled
+// and wholly-edge cases around them.
+
+Matrix KernelProduct(
+    void (*kernel)(const double*, size_t, const double*, size_t, double*,
+                   size_t, size_t, size_t, size_t, size_t),
+    const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  kernel(a.data(), a.cols(), b.data(), b.cols(), c.data(), c.cols(), 0,
+         a.rows(), a.cols(), b.cols());
+  return c;
+}
+
+TEST(GemmKernels, Avx2MatchesAvx512BitForBit) {
+  if (!internal::GemmAvx2Available() || !internal::GemmAvx512Available())
+    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 GEMM kernel";
+  for (size_t n : {size_t{8}, size_t{9}, size_t{24}, size_t{59}, size_t{129}}) {
+    Rng rng(4100 + n);
+    const Matrix a = Matrix::Random(67, 61, rng);
+    const Matrix b = Matrix::Random(61, n, rng);
+    const Matrix avx2 = KernelProduct(internal::GemmRowRangeAvx2, a, b);
+    const Matrix avx512 = KernelProduct(internal::GemmRowRangeAvx512, a, b);
+    size_t differ = 0;
+    for (size_t i = 0; i < avx2.size(); ++i) differ += avx2[i] != avx512[i];
+    EXPECT_EQ(differ, 0u) << "n = " << n;
+  }
+}
+
+TEST(GemmKernels, GenericMatchesNaiveProduct) {
+  // The generic kernel rounds every multiply and add separately, so it is
+  // checked for accuracy only, never for bits against the FMA kernels.
+  for (size_t n : {size_t{8}, size_t{9}, size_t{24}, size_t{59}, size_t{129}}) {
+    Rng rng(4200 + n);
+    const Matrix a = Matrix::Random(67, 61, rng);
+    const Matrix b = Matrix::Random(61, n, rng);
+    const Matrix ref = NaiveMatMul(a, b);
+    const Matrix c = KernelProduct(internal::GemmRowRangeGeneric, a, b);
+    for (size_t i = 0; i < c.size(); ++i)
+      EXPECT_NEAR(c[i], ref[i], 1e-9) << "n = " << n << ", flat index " << i;
   }
 }
 

@@ -20,6 +20,7 @@
 #include "cluster/tsne.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "datagen/corpus_generator.h"
 #include "datagen/datasets.h"
 #include "datagen/split.h"
@@ -434,14 +435,14 @@ TEST(ParDeterminism, HnswStreamingPresetBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(serialized[0], serialized[i])
         << "hnsw graph differs at " << kThreadCounts[i] << " threads";
 
-  // The legacy A/B baseline must build the identical graph on this corpus
-  // — otherwise ann.build.speedup_vs_baseline compares different work.
-  ann::HnswOptions legacy;
-  legacy.legacy_build = true;
-  auto baseline = ann::HnswIndex::Build(ids, vectors, dim, legacy);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_EQ(baseline.value()->Serialize(), serialized[0])
-      << "legacy_build diverges from the arena build";
+  // Pin the smoke-preset graph itself: several doubling batches at the
+  // default M/ef_construction. Recorded from the arena build when the
+  // pre-arena reference build still existed and produced the same bytes.
+  if (!full) {
+    EXPECT_EQ(ids.size(), 2000u);
+    EXPECT_EQ(serialized[0].size(), 853612u);
+    EXPECT_EQ(Fnv1aHash(serialized[0]), 0x54ec69732ea19d30ULL);
+  }
 }
 
 }  // namespace

@@ -6,21 +6,14 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "par/parallel.h"
 #include "par/thread_pool.h"
-#include "serve/thread_pool.h"
 
 namespace subrec::par {
 namespace {
-
-// The serve pool is a thin alias of the shared runtime's pool (PR kept the
-// explicit-shutdown destruction-order semantics of RecommendService).
-static_assert(std::is_same_v<serve::ThreadPool, par::ThreadPool>,
-              "serve::ThreadPool must alias par::ThreadPool");
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {

@@ -21,6 +21,7 @@
 #include "graph/academic_graph.h"
 #include "obs/metrics.h"
 #include "par/parallel.h"
+#include "par/thread_pool.h"
 #include "rec/nprec.h"
 #include "rec/recommender.h"
 #include "serve/candidate_index.h"
@@ -29,7 +30,6 @@
 #include "serve/lru_cache.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
-#include "serve/thread_pool.h"
 #include "text/hashed_ngram_encoder.h"
 
 namespace subrec::serve {
@@ -152,7 +152,7 @@ TEST(FileUtil, MissingFileIsNotFound) {
 TEST(ThreadPool, ExecutesEverySubmittedTask) {
   std::atomic<int> count{0};
   {
-    ThreadPool pool(4);
+    par::ThreadPool pool(4);
     for (int i = 0; i < 500; ++i)
       pool.Submit([&count] { count.fetch_add(1); });
     // Destructor drains the queue before joining.
@@ -161,7 +161,7 @@ TEST(ThreadPool, ExecutesEverySubmittedTask) {
 }
 
 TEST(ThreadPool, ReturnsResultsThroughFutures) {
-  ThreadPool pool(3);
+  par::ThreadPool pool(3);
   std::vector<std::future<int>> futures;
   for (int i = 0; i < 50; ++i)
     futures.push_back(pool.SubmitWithResult([i] { return i * i; }));
@@ -169,7 +169,7 @@ TEST(ThreadPool, ReturnsResultsThroughFutures) {
 }
 
 TEST(ThreadPool, ExceptionsLandInTheFuture) {
-  ThreadPool pool(2);
+  par::ThreadPool pool(2);
   auto bad = pool.SubmitWithResult(
       []() -> int { throw std::runtime_error("task failed"); });
   auto good = pool.SubmitWithResult([] { return 7; });
@@ -178,7 +178,7 @@ TEST(ThreadPool, ExceptionsLandInTheFuture) {
 }
 
 TEST(ThreadPool, ShutdownIsIdempotentAndDrains) {
-  ThreadPool pool(2);
+  par::ThreadPool pool(2);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) pool.Submit([&count] { count.fetch_add(1); });
   pool.Shutdown();
@@ -188,7 +188,7 @@ TEST(ThreadPool, ShutdownIsIdempotentAndDrains) {
 }
 
 TEST(ThreadPool, ManyProducersOnePool) {
-  ThreadPool pool(4);
+  par::ThreadPool pool(4);
   std::atomic<int> count{0};
   std::vector<std::thread> producers;
   for (int t = 0; t < 8; ++t) {
@@ -262,7 +262,7 @@ TEST(LruCache, KeysDifferingOnlyInUserSpreadOverEveryShard) {
 /// under the tsan preset this is the serving-path race detector.
 TEST(LruCache, ConcurrentHammer) {
   ShardedLruCache<uint64_t, std::vector<int>> cache(256, 8);
-  ThreadPool pool(8);
+  par::ThreadPool pool(8);
   std::atomic<int> done{0};
   for (int t = 0; t < 16; ++t) {
     pool.Submit([&cache, &done, t] {
@@ -1033,28 +1033,35 @@ TEST_F(ServiceTest, RejectsUnknownUsers) {
 }
 
 TEST_F(ServiceTest, PairwiseAndGemmModesServeIdenticalResults) {
-  // The scorer_mode option is a pure engine switch: every user's ranked
-  // list must be identical — papers AND score bits — across modes.
-  std::vector<std::vector<ScoredPaper>> per_mode;
-  for (const ScorerMode mode : {ScorerMode::kPairwise, ScorerMode::kGemm}) {
-    ServeOptions options;
-    options.cache_capacity = 0;
-    options.scorer_mode = mode;
-    RecommendService service(options);
-    ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
-    const size_t users = service.state()->profiles.size();
-    std::vector<ScoredPaper> flattened;
-    for (size_t u = 0; u < users; ++u) {
-      const RecResponse r = service.TopN(static_cast<int32_t>(u), 7);
-      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      flattened.insert(flattened.end(), r.items.begin(), r.items.end());
+  // The service scores on the GEMM path (solo, or stacked when a batch
+  // shares a candidate list); the pairwise scorer is the oracle. Every
+  // user's ranked list must match it — papers AND score bits.
+  ServeOptions options;
+  options.cache_capacity = 0;
+  RecommendService service(options);
+  ASSERT_TRUE(service.LoadSnapshotFile(*snapshot_path_).ok());
+  const ServingState& state = *service.state();
+  const size_t users = state.profiles.size();
+  std::vector<RecRequest> batch;
+  for (size_t u = 0; u < users; ++u)
+    batch.push_back(RecRequest{static_cast<int32_t>(u), 7});
+  const std::vector<RecResponse> batched = service.TopNBatch(batch);
+  ASSERT_EQ(batched.size(), users);
+  for (size_t u = 0; u < users; ++u) {
+    const std::vector<ScoredPaper> oracle = state.scorer.TopN(
+        state.profiles[u], state.index.CandidatesFor(static_cast<int32_t>(u)),
+        7, /*trace=*/nullptr, ScorerMode::kPairwise);
+    const RecResponse solo = service.TopN(static_cast<int32_t>(u), 7);
+    for (const RecResponse* r : {&solo, &batched[u]}) {
+      ASSERT_TRUE(r->status.ok()) << r->status.ToString();
+      ASSERT_EQ(r->items.size(), oracle.size()) << "user " << u;
+      for (size_t i = 0; i < oracle.size(); ++i) {
+        EXPECT_EQ(r->items[i].paper, oracle[i].paper)
+            << "user " << u << " slot " << i;
+        EXPECT_EQ(r->items[i].score, oracle[i].score)
+            << "user " << u << " slot " << i;
+      }
     }
-    per_mode.push_back(std::move(flattened));
-  }
-  ASSERT_EQ(per_mode[0].size(), per_mode[1].size());
-  for (size_t i = 0; i < per_mode[0].size(); ++i) {
-    EXPECT_EQ(per_mode[0][i].paper, per_mode[1][i].paper) << "slot " << i;
-    EXPECT_EQ(per_mode[0][i].score, per_mode[1][i].score) << "slot " << i;
   }
 }
 
