@@ -21,8 +21,8 @@
 #include "datagen/corpus_generator.h"
 #include "datagen/datasets.h"
 #include "labeling/trainer.h"
+#include "la/exact_kernel.h"
 #include "la/ops.h"
-#include "la/serve_kernel.h"
 #include "par/parallel.h"
 #include "serve/frozen_scorer.h"
 #include "serve/snapshot.h"

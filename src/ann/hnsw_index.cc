@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "common/wire.h"
-#include "la/ann_kernel.h"
+#include "la/exact_kernel.h"
 #include "par/parallel.h"
 
 // Beam search is memory-latency bound: each expansion gathers up to 2M

@@ -1,17 +1,13 @@
-#include "la/gemm.h"
+// Generic member of the fused kernel family (la/cpu_dispatch.h), built with
+// the project-wide flags.
 
-#include <cstddef>
+#include "la/cpu_dispatch.h"
 
-#define SUBREC_GEMM_NS gemm_generic
+#define SUBREC_KERNEL_NS fused_generic
 #include "la/gemm_kernel.h"  // NOLINT(build/include)
-#undef SUBREC_GEMM_NS
 
 namespace subrec::la::internal {
 
-void GemmRowRangeGeneric(const double* a, size_t lda, const double* b,
-                         size_t ldb, double* c, size_t ldc, size_t row0,
-                         size_t row_end, size_t k, size_t n) {
-  gemm_generic::GemmRowBlock(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
-}
+const FusedKernels kFusedGeneric = {fused_generic::GemmRowBlock};
 
 }  // namespace subrec::la::internal

@@ -1,43 +1,13 @@
-// Compiled with -mavx2 -mfma on x86-64 GNU/Clang builds (see
-// src/CMakeLists.txt); anywhere else it degrades to the generic kernel
-// and GemmAvx2Available() reports false so nothing dispatches here.
+// AVX2 member of the fused kernel family (la/cpu_dispatch.h), compiled only
+// on x86-64 GNU/Clang builds, with -mavx2 -mfma (src/CMakeLists.txt).
 
-#include "la/gemm.h"
+#include "la/cpu_dispatch.h"
 
-#include <cstddef>
-
-#if defined(__AVX2__) && defined(__FMA__)
-
-#define SUBREC_GEMM_NS gemm_avx2
+#define SUBREC_KERNEL_NS fused_avx2
 #include "la/gemm_kernel.h"  // NOLINT(build/include)
-#undef SUBREC_GEMM_NS
 
 namespace subrec::la::internal {
 
-void GemmRowRangeAvx2(const double* a, size_t lda, const double* b,
-                      size_t ldb, double* c, size_t ldc, size_t row0,
-                      size_t row_end, size_t k, size_t n) {
-  gemm_avx2::GemmRowBlock(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
-}
-
-bool GemmAvx2Available() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
+const FusedKernels kFusedAvx2 = {fused_avx2::GemmRowBlock};
 
 }  // namespace subrec::la::internal
-
-#else  // !(__AVX2__ && __FMA__)
-
-namespace subrec::la::internal {
-
-void GemmRowRangeAvx2(const double* a, size_t lda, const double* b,
-                      size_t ldb, double* c, size_t ldc, size_t row0,
-                      size_t row_end, size_t k, size_t n) {
-  GemmRowRangeGeneric(a, lda, b, ldb, c, ldc, row0, row_end, k, n);
-}
-
-bool GemmAvx2Available() { return false; }
-
-}  // namespace subrec::la::internal
-
-#endif

@@ -1,28 +1,31 @@
 #ifndef SUBREC_LA_GEMM_KERNEL_H_
 #define SUBREC_LA_GEMM_KERNEL_H_
 
-// Textual kernel body shared by the per-ISA GEMM translation units. Each
-// TU defines SUBREC_GEMM_NS to a unique namespace before including this
-// header, then gets the identical source compiled under its own ISA flags
-// (gemm.cc: baseline; gemm_avx2.cc: -mavx2 -mfma; gemm_avx512.cc:
-// -mavx512f -mfma). There are no intrinsics — the tile is expressed with
+// Textual GEMM body shared by both kernel families (la/cpu_dispatch.h).
+// Each translation unit defines SUBREC_KERNEL_NS to its own namespace
+// before including this header, then gets the identical source compiled
+// under its own flags. Fused family (training): gemm.cc baseline,
+// gemm_avx2.cc -mavx2 -mfma, gemm_avx512.cc -mavx512f -mfma. Exact family
+// (serving): exact_kernel*.cc, the same ISAs without -mfma and with
+// -ffp-contract=off. There are no intrinsics — the tile is expressed with
 // GNU vector types sized to the TU's widest native vector (a plain scalar
 // path covers non-GNU toolchains). The vector width only changes how the
 // kNr columns of a tile row are grouped into registers; it never changes
 // any element's multiply-add sequence, so the two FMA TUs produce identical
-// bits (GemmKernels.Avx2MatchesAvx512BitForBit). The generic TU has no FMA:
-// it rounds each multiply and each add separately, so its bits differ from
-// both and it is checked for accuracy only.
+// bits (GemmKernels.Avx2MatchesAvx512BitForBit) and every exact TU matches
+// la::Dot. The generic fused TU has no FMA: it rounds each multiply and
+// each add separately, so its bits differ from the other fused TUs and it
+// is checked for accuracy only.
 
 #include <algorithm>
 #include <cstddef>
 
-#ifndef SUBREC_GEMM_NS
-#error "define SUBREC_GEMM_NS before including la/gemm_kernel.h"
+#ifndef SUBREC_KERNEL_NS
+#error "define SUBREC_KERNEL_NS before including la/gemm_kernel.h"
 #endif
 
 namespace subrec::la::internal {
-namespace SUBREC_GEMM_NS {
+namespace SUBREC_KERNEL_NS {
 
 // 4 x kNr register tile: 8 vector accumulators (two per row) stay live
 // across the whole k loop, so C traffic happens once per tile instead of
@@ -218,7 +221,7 @@ inline void GemmRowBlock(const double* a, size_t lda, const double* b,
   }
 }
 
-}  // namespace SUBREC_GEMM_NS
+}  // namespace SUBREC_KERNEL_NS
 }  // namespace subrec::la::internal
 
 #endif  // SUBREC_LA_GEMM_KERNEL_H_

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "la/gemm.h"
+#include "la/cpu_dispatch.h"
 #include "par/parallel.h"
 
 namespace subrec::la {
@@ -21,18 +21,12 @@ constexpr size_t kGemmBlockedMinWork = size_t{32} * 1024;
 constexpr size_t kGemmParallelMinWork = size_t{1} << 21;
 constexpr size_t kGemmChunkWork = size_t{1} << 18;
 
-using GemmFn = void (*)(const double*, size_t, const double*, size_t, double*,
-                        size_t, size_t, size_t, size_t, size_t);
-
-// The widest kernel this CPU runs. The two FMA kernels produce identical
-// bits; the generic one rounds each multiply and add separately (see
-// gemm.h).
-GemmFn ActiveGemm() {
-  static const GemmFn fn = internal::GemmAvx512Available()
-                               ? internal::GemmRowRangeAvx512
-                           : internal::GemmAvx2Available()
-                               ? internal::GemmRowRangeAvx2
-                               : internal::GemmRowRangeGeneric;
+// The fused family's member for this CPU. The two FMA members produce
+// identical bits; the generic one rounds each multiply and add separately
+// (see cpu_dispatch.h).
+internal::GemmRowBlockFn ActiveGemm() {
+  static const internal::GemmRowBlockFn fn =
+      internal::FusedKernelsFor(internal::HostIsa())->gemm_row_block;
   return fn;
 }
 
@@ -43,7 +37,7 @@ void BlockedGemm(const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t k = a.cols();
   const size_t n = b.cols();
   const size_t work = m * n * k;
-  const GemmFn fn = ActiveGemm();
+  const internal::GemmRowBlockFn fn = ActiveGemm();
   const size_t blocks = (m + internal::kGemmMr - 1) / internal::kGemmMr;
   size_t grain = blocks;  // single chunk -> runs inline on the caller
   if (work >= kGemmParallelMinWork) {

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "common/check.h"
+#include "la/exact_kernel.h"
 #include "la/ops.h"
 #include "la/score_math.h"
-#include "la/serve_kernel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 

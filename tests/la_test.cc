@@ -4,16 +4,18 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "la/ann_kernel.h"
-#include "la/gemm.h"
+#include "common/string_util.h"
+#include "la/cpu_dispatch.h"
+#include "la/exact_kernel.h"
 #include "la/matrix.h"
 #include "la/ops.h"
 #include "la/score_math.h"
-#include "la/serve_kernel.h"
 #include "par/parallel.h"
 
 namespace subrec::la {
@@ -258,29 +260,87 @@ TEST(BlockedGemm, BitIdenticalAcrossThreadCounts) {
 // where the AVX2 tile is narrower than the AVX-512 one, and the wholly-tiled
 // and wholly-edge cases around them.
 
-Matrix KernelProduct(
-    void (*kernel)(const double*, size_t, const double*, size_t, double*,
-                   size_t, size_t, size_t, size_t, size_t),
-    const Matrix& a, const Matrix& b) {
+Matrix KernelProduct(internal::GemmRowBlockFn kernel, const Matrix& a,
+                     const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   kernel(a.data(), a.cols(), b.data(), b.cols(), c.data(), c.cols(), 0,
          a.rows(), a.cols(), b.cols());
   return c;
 }
 
+// The AVX2 and AVX-512 fused members, or nulls when the host lacks either.
+std::pair<const internal::FusedKernels*, const internal::FusedKernels*>
+FmaFusedKernels() {
+  return {internal::FusedKernelsFor(internal::Isa::kAvx2),
+          internal::FusedKernelsFor(internal::Isa::kAvx512)};
+}
+
 TEST(GemmKernels, Avx2MatchesAvx512BitForBit) {
-  if (!internal::GemmAvx2Available() || !internal::GemmAvx512Available())
+  const auto [fused_avx2, fused_avx512] = FmaFusedKernels();
+  if (fused_avx2 == nullptr || fused_avx512 == nullptr)
     GTEST_SKIP() << "needs both the AVX2 and the AVX-512 GEMM kernel";
   for (size_t n : {size_t{8}, size_t{9}, size_t{24}, size_t{59}, size_t{129}}) {
     Rng rng(4100 + n);
     const Matrix a = Matrix::Random(67, 61, rng);
     const Matrix b = Matrix::Random(61, n, rng);
-    const Matrix avx2 = KernelProduct(internal::GemmRowRangeAvx2, a, b);
-    const Matrix avx512 = KernelProduct(internal::GemmRowRangeAvx512, a, b);
+    const Matrix avx2 = KernelProduct(fused_avx2->gemm_row_block, a, b);
+    const Matrix avx512 = KernelProduct(fused_avx512->gemm_row_block, a, b);
     size_t differ = 0;
     for (size_t i = 0; i < avx2.size(); ++i) differ += avx2[i] != avx512[i];
     EXPECT_EQ(differ, 0u) << "n = " << n;
   }
+}
+
+// FNV-1a digest of the fused kernels' outputs over the sweep below, as
+// recorded before the kernel families were regrouped, or 0 where none was
+// recorded. GemmRowBlock's edge loop leaves multiply-add fusion to the
+// compiler, so the digest depends on the compiler and its optimization
+// level: GCC 12 fuses every edge step at -O2 but vectorizes the edge loop
+// into separate multiplies and adds at -O3, and contracts nothing at -O0.
+uint64_t RecordedFusedDigest() {
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12
+  const std::string config = SUBREC_TEST_BUILD_CONFIG;
+  if (config == "Release") return 0x825d31561d5be6edULL;         // -O3
+  if (config == "RelWithDebInfo") return 0x917862ec26b70870ULL;  // -O2
+  if (config == "Debug") return 0x94ba3f4e66151795ULL;           // -O0
+#endif
+  return 0;
+}
+
+TEST(GemmKernels, FusedKernelBitsMatchCommittedDigest) {
+  // Pins the fused kernels' output bits, not just their agreement. It
+  // detects the finding that GemmRowBlock's edge loop leaves multiply-add
+  // fusion to the compiler: a compiler or flag change that re-vectorizes
+  // the edge loop moves edge-column bits (and trained bits with them)
+  // while AVX2 and AVX-512 can still agree. The sweep covers n mod 16 in
+  // [8, 15], wholly tiled shapes (m % 4 == 0, n % 16 == 0) and edge-only
+  // ones (m < 4 or n < 16). It must only change with a deliberate numeric
+  // change.
+  const auto [fused_avx2, fused_avx512] = FmaFusedKernels();
+  if (fused_avx2 == nullptr || fused_avx512 == nullptr)
+    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 GEMM kernel";
+  std::string avx2_bytes, avx512_bytes;
+  Rng rng(4300);
+  for (size_t m : {1, 3, 4, 5, 8, 13, 16}) {
+    for (size_t k : {1, 2, 7, 16, 33}) {
+      for (size_t n = 1; n <= 70; ++n) {
+        const Matrix a = Matrix::Random(m, k, rng);
+        const Matrix b = Matrix::Random(k, n, rng);
+        const Matrix avx2 = KernelProduct(fused_avx2->gemm_row_block, a, b);
+        const Matrix avx512 =
+            KernelProduct(fused_avx512->gemm_row_block, a, b);
+        avx2_bytes.append(reinterpret_cast<const char*>(avx2.data()),
+                          avx2.size() * sizeof(double));
+        avx512_bytes.append(reinterpret_cast<const char*>(avx512.data()),
+                            avx512.size() * sizeof(double));
+      }
+    }
+  }
+  EXPECT_EQ(Fnv1aHash(avx2_bytes), Fnv1aHash(avx512_bytes));
+  const uint64_t recorded = RecordedFusedDigest();
+  if (recorded == 0)
+    GTEST_SKIP() << "no digest recorded for this compiler and build type";
+  EXPECT_EQ(Fnv1aHash(avx512_bytes), recorded);
 }
 
 TEST(GemmKernels, GenericMatchesNaiveProduct) {
@@ -291,7 +351,9 @@ TEST(GemmKernels, GenericMatchesNaiveProduct) {
     const Matrix a = Matrix::Random(67, 61, rng);
     const Matrix b = Matrix::Random(61, n, rng);
     const Matrix ref = NaiveMatMul(a, b);
-    const Matrix c = KernelProduct(internal::GemmRowRangeGeneric, a, b);
+    const Matrix c = KernelProduct(
+        internal::FusedKernelsFor(internal::Isa::kGeneric)->gemm_row_block, a,
+        b);
     for (size_t i = 0; i < c.size(); ++i)
       EXPECT_NEAR(c[i], ref[i], 1e-9) << "n = " << n << ", flat index " << i;
   }
@@ -430,6 +492,23 @@ TEST(ServeKernel, GatherTransposeLaysRowsOutAsColumns) {
                 slab(static_cast<size_t>(ids[i]), d));
 }
 
+// Every exact-family member this host runs: the generic one always, the
+// AVX2 and AVX-512 ones when the CPU probe allows. The exact tests check
+// each of them as well as the dispatched entry point, so the members the
+// dispatcher does not pick on this host are covered too.
+std::vector<std::pair<std::string, const internal::ExactKernels*>>
+RunnableExactKernels() {
+  std::vector<std::pair<std::string, const internal::ExactKernels*>> out;
+  for (const auto& [name, isa] :
+       {std::pair<const char*, internal::Isa>{"generic", internal::Isa::kGeneric},
+        {"avx2", internal::Isa::kAvx2},
+        {"avx512", internal::Isa::kAvx512}}) {
+    if (const internal::ExactKernels* kernels = internal::ExactKernelsFor(isa))
+      out.emplace_back(name, kernels);
+  }
+  return out;
+}
+
 TEST(ServeKernel, GemmIsBitIdenticalToScalarDot) {
   // The whole batched-scorer determinism argument rests on this: one GEMM
   // cell must be EXACTLY the ascending-k scalar dot product, for every
@@ -445,14 +524,25 @@ TEST(ServeKernel, GemmIsBitIdenticalToScalarDot) {
     std::vector<double> a(m * k), bt(k * n), c(m * n);
     for (double& x : a) x = rng.Gaussian();
     for (double& x : bt) x = rng.Gaussian();
+    std::vector<std::pair<std::string, std::vector<double>>> results;
     ServeGemm(a.data(), k, bt.data(), n, c.data(), n, m, k, n);
+    results.emplace_back("dispatched", c);
+    for (const auto& [name, kernels] : RunnableExactKernels()) {
+      std::vector<double> ck(m * n, 0.0);
+      kernels->gemm_row_block(a.data(), k, bt.data(), n, ck.data(), n, 0, m,
+                              k, n);
+      results.emplace_back(name, ck);
+    }
     std::vector<double> col(k);
     for (size_t j = 0; j < n; ++j) {
       for (size_t d = 0; d < k; ++d) col[d] = bt[d * n + j];
       for (size_t i = 0; i < m; ++i) {
-        ASSERT_EQ(c[i * n + j], Dot(a.data() + i * k, col.data(), k))
-            << m << "x" << k << "x" << n << " cell (" << i << "," << j
-            << ")";
+        const double want = Dot(a.data() + i * k, col.data(), k);
+        for (const auto& [name, got] : results) {
+          ASSERT_EQ(got[i * n + j], want)
+              << name << " " << m << "x" << k << "x" << n << " cell (" << i
+              << "," << j << ")";
+        }
       }
     }
   }
@@ -476,14 +566,25 @@ TEST(AnnKernel, DotBatchIsBitIdenticalToScalarDot) {
       std::vector<int32_t> nodes(count);
       for (int32_t& node : nodes)
         node = static_cast<int32_t>(rng.UniformInt(kRows));
+      std::vector<std::pair<std::string, std::vector<double>>> results;
       std::vector<double> got(count, -1.0);
       AnnDotBatch(query.data(), slab.data(), dim, nodes.data(), count,
                   got.data());
+      results.emplace_back("dispatched", got);
+      for (const auto& [name, kernels] : RunnableExactKernels()) {
+        std::fill(got.begin(), got.end(), -1.0);
+        kernels->dot_batch(query.data(), slab.data(), dim, nodes.data(),
+                           count, got.data());
+        results.emplace_back(name, got);
+      }
       for (size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(got[i],
-                  Dot(query.data(),
-                      slab.data() + static_cast<size_t>(nodes[i]) * dim, dim))
-            << "dim " << dim << " count " << count << " slot " << i;
+        const double want =
+            Dot(query.data(),
+                slab.data() + static_cast<size_t>(nodes[i]) * dim, dim);
+        for (const auto& [name, out] : results) {
+          ASSERT_EQ(out[i], want) << name << " dim " << dim << " count "
+                                  << count << " slot " << i;
+        }
       }
     }
   }
@@ -499,14 +600,23 @@ TEST(ServeKernel, SigmoidMeanColumnsIsBitIdenticalToScalarLoop) {
     for (const size_t n : {1u, 4u, 8u, 9u, 15u, 16u, 17u, 64u, 100u}) {
       std::vector<double> logits(m * n), got(n);
       for (double& x : logits) x = rng.Uniform(-30.0, 30.0);
+      std::vector<std::pair<std::string, std::vector<double>>> results;
       ServeSigmoidMeanColumns(logits.data(), n, m, n,
                               static_cast<double>(m), got.data());
+      results.emplace_back("dispatched", got);
+      for (const auto& [name, kernels] : RunnableExactKernels()) {
+        kernels->sigmoid_mean_columns(logits.data(), n, m, n,
+                                      static_cast<double>(m), got.data());
+        results.emplace_back(name, got);
+      }
       for (size_t j = 0; j < n; ++j) {
         double total = 0.0;
         for (size_t i = 0; i < m; ++i)
           total += ScoreSigmoid(logits[i * n + j]);
-        ASSERT_EQ(got[j], total / static_cast<double>(m))
-            << m << "x" << n << " column " << j;
+        for (const auto& [name, out] : results) {
+          ASSERT_EQ(out[j], total / static_cast<double>(m))
+              << name << " " << m << "x" << n << " column " << j;
+        }
       }
     }
   }

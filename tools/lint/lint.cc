@@ -622,6 +622,15 @@ std::vector<std::unique_ptr<Rule>> BuildDefaultRules() {
       /*comments_view=*/false,
       /*path_prefix=*/"src/",
       /*exempt_prefixes=*/{"src/common/mutex.h"}}));
+  rules.push_back(std::make_unique<RegexRule>(RegexRuleSpec{
+      "one-cpu-probe",
+      "\\b__builtin_cpu_(supports|is)\\b",
+      "the CPU is probed once, in src/la/cpu_dispatch.cc; take the kernel "
+      "table for the host from la/cpu_dispatch.h instead",
+      /*headers_only=*/false,
+      /*comments_view=*/false,
+      /*path_prefix=*/"src/",
+      /*exempt_prefixes=*/{"src/la/cpu_dispatch.cc"}}));
   rules.push_back(std::make_unique<TodoFormatRule>());
   rules.push_back(std::make_unique<IncludeHygieneRule>());
   rules.push_back(std::make_unique<GuardedByRule>());

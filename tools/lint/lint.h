@@ -75,6 +75,9 @@ struct RegexRuleSpec {
 ///                     std::mutex/lock_guard/unique_lock/condition_variable
 ///                     in src/ outside common/mutex.h (use the annotated
 ///                     common::Mutex wrappers)
+///   one-cpu-probe     __builtin_cpu_supports/__builtin_cpu_is in src/
+///                     outside la/cpu_dispatch.cc (one probe picks every
+///                     kernel family's ISA)
 ///   todo-format       TODO(name): with owner
 ///   include-hygiene   headers directly include what they use (checked list)
 ///   guarded-by-required

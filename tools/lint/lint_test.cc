@@ -172,6 +172,38 @@ TEST(LintServeMatrix, RuleScopesToServe) {
   }
 }
 
+TEST(LintCpuProbe, BadFixtureFiresAtExpectedLines) {
+  const std::vector<Violation> vs =
+      LintFixtureAs("cpu_probe_bad.cc", "src/la/cpu_probe_bad.cc");
+  std::vector<size_t> lines;
+  for (const Violation& v : vs) {
+    if (v.rule == "one-cpu-probe") lines.push_back(v.line);
+  }
+  std::sort(lines.begin(), lines.end());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], 7u);   // __builtin_cpu_supports("avx2")
+  EXPECT_EQ(lines[1], 8u);   // __builtin_cpu_supports("fma")
+  EXPECT_EQ(lines[2], 11u);  // __builtin_cpu_is("znver3")
+}
+
+TEST(LintCpuProbe, GoodFixtureIsClean) {
+  const std::vector<Violation> vs =
+      LintFixtureAs("cpu_probe_good.cc", "src/la/cpu_probe_good.cc");
+  for (const Violation& v : vs) ADD_FAILURE() << FormatViolation(v);
+}
+
+TEST(LintCpuProbe, OnlyTheDispatchUnitAndNonSrcMayProbe) {
+  // The dispatch unit is where the probe lives; tests and tools may ask the
+  // CPU whatever they need.
+  for (const std::string& path :
+       {std::string("src/la/cpu_dispatch.cc"),
+        std::string("tests/cpu_probe_bad.cc"),
+        std::string("tools/cpu_probe_bad.cc")}) {
+    const std::vector<Violation> vs = LintFixtureAs("cpu_probe_bad.cc", path);
+    EXPECT_FALSE(FiredRules(vs).count("one-cpu-probe")) << path;
+  }
+}
+
 TEST(LintCollect, SkipsTestdataAndNonSources) {
   // Collecting over tools/ must not pick up the fixtures this test lints.
   const std::vector<std::string> files =
