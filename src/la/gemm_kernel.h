@@ -17,7 +17,6 @@
 // each add separately, so its bits differ from the other fused TUs and it
 // is checked for accuracy only.
 
-#include <algorithm>
 #include <cstddef>
 
 #ifndef SUBREC_KERNEL_NS
@@ -204,7 +203,9 @@ inline void GemmRowBlock(const double* a, size_t lda, const double* b,
                          size_t row_end, size_t k, size_t n) {
   const size_t n_tiled = n / kTileSplit * kTileSplit;
   for (size_t i = row0; i < row_end; i += kMr) {
-    const size_t mr = std::min(kMr, row_end - i);
+    // Not std::min: at -O0 that would be a weak out-of-line template
+    // shared with generic callers but compiled with this unit's ISA flags.
+    const size_t mr = row_end - i < kMr ? row_end - i : kMr;
     const size_t edge0 = mr == kMr ? n_tiled : 0;
     for (size_t j = 0; j < edge0; j += kNr)
       GemmTile(a, lda, b, ldb, c, ldc, i, j, k);

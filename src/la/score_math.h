@@ -13,19 +13,25 @@ extern const double kScoreExpTable[128];
 
 namespace score_math_internal {
 
-inline double BitsToDouble(uint64_t b) {
+[[gnu::always_inline]] inline double BitsToDouble(uint64_t b) {
   double d;
   __builtin_memcpy(&d, &b, sizeof(d));
   return d;
 }
 
-inline uint64_t DoubleToBits(double d) {
+[[gnu::always_inline]] inline uint64_t DoubleToBits(double d) {
   uint64_t b;
   __builtin_memcpy(&b, &d, sizeof(b));
   return b;
 }
 
 }  // namespace score_math_internal
+
+// Every function in this header is always_inline. The per-ISA kernel
+// units (la/cpu_dispatch.h) call them; an out-of-line copy, which an -O0
+// build would otherwise emit as a weak symbol, would be compiled with that
+// unit's -mavx2/-mavx512f, and the linker could hand it to generic callers
+// such as NPRec on a CPU without those instructions.
 
 /// Deterministic replacement for std::exp on the scoring path.
 ///
@@ -48,7 +54,7 @@ inline uint64_t DoubleToBits(double d) {
 /// pipeline (including the 2^e scale) in normal range with no inf/NaN
 /// special-casing. Callers feed finite dot products; a NaN argument gives
 /// an unspecified (finite) result rather than NaN.
-inline double ScoreExp(double x) {
+[[gnu::always_inline]] inline double ScoreExp(double x) {
   using score_math_internal::BitsToDouble;
   using score_math_internal::DoubleToBits;
   constexpr double kClamp = 708.0;
@@ -96,7 +102,9 @@ inline double ScoreExp(double x) {
 /// from) agree bit for bit. Saturates to exactly 1.0 for x >= ~745 and to
 /// a tiny normal/subnormal for very negative x — same shape as the libm
 /// version it replaces.
-inline double ScoreSigmoid(double x) { return 1.0 / (1.0 + ScoreExp(-x)); }
+[[gnu::always_inline]] inline double ScoreSigmoid(double x) {
+  return 1.0 / (1.0 + ScoreExp(-x));
+}
 
 }  // namespace subrec::la
 

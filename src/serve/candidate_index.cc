@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <unordered_set>
 
 #include "common/check.h"
 #include "obs/metrics.h"
-#include "par/parallel.h"
 
 namespace subrec::serve {
 
@@ -28,188 +28,176 @@ const char* CandidateSourceName(CandidateSource source) {
   return "unknown";
 }
 
-namespace {
+CandidateIndex::CandidateIndex(const SnapshotData& data,
+                               const CandidateIndexOptions& options,
+                               const ann::Index* ann_index)
+    : options_(options),
+      profiles_(&data.profiles),
+      interest_(&data.interest),
+      disciplines_(data.disciplines),
+      topics_(data.topics),
+      num_users_(data.profiles.size()),
+      slots_(std::make_unique<Slot[]>(data.profiles.size())) {
+  const size_t n = data.years.size();
+  SUBREC_CHECK_EQ(disciplines_.size(), n);
+  SUBREC_CHECK_EQ(topics_.size(), n);
+  if (options.retrieval == RetrievalMode::kAnnEmbedding) {
+    SUBREC_CHECK(ann_index != nullptr)
+        << "kAnnEmbedding retrieval requested without an ann::Index";
+    ann_index_ = ann_index;
+    obs::MetricsRegistry::Global().GetGauge("ann.ef")->Set(static_cast<double>(
+        std::max(options.ann_ef, options.ann_candidates)));
+  }
 
-/// Builds one user's ANN candidate list: mean profile interest vector as
-/// the query, year-window filter on the hits, ascending paper ids — the
-/// same output contract as the filtered branches. Returns false (leaving
-/// `out` empty) for users ANN cannot serve: empty profiles and queries
-/// whose every hit fell outside the year window.
+  in_window_.resize(n);
+  for (size_t p = 0; p < n; ++p) {
+    in_window_[p] = data.years[p] > options.min_year &&
+                    data.years[p] <= options.max_year;
+    if (in_window_[p] != 0) new_papers_.push_back(static_cast<int32_t>(p));
+  }
+  for (int32_t p : new_papers_) {
+    const int32_t t = topics_[static_cast<size_t>(p)];
+    if (t >= 0) by_topic_[t].push_back(p);
+  }
+}
+
+void CandidateIndex::Rebind(
+    const std::vector<std::vector<int32_t>>* profiles,
+    const la::Matrix* interest) {
+  SUBREC_CHECK_EQ(profiles->size(), num_users_);
+  SUBREC_CHECK_EQ(interest->rows(), in_window_.size());
+  profiles_ = profiles;
+  interest_ = interest;
+}
+
+bool CandidateIndex::HasProfile(int32_t user) const {
+  return user >= 0 && static_cast<size_t>(user) < num_users_ &&
+         !(*profiles_)[static_cast<size_t>(user)].empty();
+}
+
+const CandidateIndex::UserList& CandidateIndex::Published(size_t user) const {
+  std::atomic<const UserList*>& slot = slots_[user].list;
+  const UserList* list = slot.load(std::memory_order_acquire);
+  if (list != nullptr) return *list;
+  auto built = std::make_unique<const UserList>(Retrieve((*profiles_)[user]));
+  // A racing first touch may publish first; its list is identical, and
+  // every caller must see the one published address.
+  if (slot.compare_exchange_strong(list, built.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *built.release();
+  }
+  return *list;
+}
+
+CandidateIndex::UserList CandidateIndex::Retrieve(
+    const std::vector<int32_t>& profile) const {
+  UserList list;
+  if (ann_index_ != nullptr && AnnCandidates(profile, &list.ids)) {
+    list.source = CandidateSource::kAnnEmbedding;
+    return list;
+  }
+  // Users ANN could not serve fall through to the filtered branches
+  // exactly as in kFiltered mode.
+  std::unordered_set<int32_t> disciplines, topics;
+  for (int32_t pid : profile) {
+    disciplines.insert(disciplines_[static_cast<size_t>(pid)]);
+    const int32_t t = topics_[static_cast<size_t>(pid)];
+    if (t >= 0) topics.insert(t);
+  }
+  auto discipline_ok = [&](int32_t p) {
+    return !options_.filter_disciplines ||
+           disciplines.count(disciplines_[static_cast<size_t>(p)]) > 0;
+  };
+  std::vector<int32_t>& chosen = list.ids;
+  list.source = CandidateSource::kTopicPruned;
+  if (options_.prune_topics && !topics.empty()) {
+    // Union of the user's topic postings, discipline-filtered.
+    for (int32_t t : topics)
+      for (int32_t p : PapersForTopic(t))
+        if (discipline_ok(p)) chosen.push_back(p);
+    std::sort(chosen.begin(), chosen.end());
+    chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
+  }
+  if (chosen.empty()) {
+    list.source = CandidateSource::kDisciplineFiltered;
+    for (int32_t p : new_papers_)
+      if (discipline_ok(p)) chosen.push_back(p);
+  }
+  // A profile whose disciplines vanished from the window still needs
+  // something to rank: fall back to the unfiltered pool.
+  if (chosen.empty()) {
+    list.source = CandidateSource::kFallbackPool;
+    chosen = new_papers_;
+  }
+  return list;
+}
+
+/// Mean profile interest vector as the query, year-window filter on the
+/// hits, ascending paper ids — the same output contract as the filtered
+/// branches.
 ///
 /// ServingState::FromSnapshot validates the deserialized index against the
-/// snapshot before any query runs — every external id in [0, years.size())
-/// and index dim == embedding dim — so hit ids index `data.years` safely
-/// here and the Search status CHECK below guards programmer errors only.
-bool AnnCandidatesForUser(const SnapshotData& data,
-                          const CandidateIndexOptions& options,
-                          const ann::Index& ann_index,
-                          const std::vector<int32_t>& profile,
-                          std::vector<int32_t>* out,
-                          ann::SearchStats* stats,
-                          int64_t* hits_returned) {
-  if (profile.empty() || data.interest.rows() == 0) return false;
-  const size_t dim = data.interest.cols();
+/// snapshot before any query runs — every external id in [0, papers) and
+/// index dim == embedding dim — so hit ids index `in_window_` safely here
+/// and the Search status CHECK below guards programmer errors only.
+bool CandidateIndex::AnnCandidates(const std::vector<int32_t>& profile,
+                                   std::vector<int32_t>* out) const {
+  if (interest_->rows() == 0) return false;
+  const size_t dim = interest_->cols();
   std::vector<double> query(dim, 0.0);
   for (int32_t pid : profile) {
-    const double* v = data.interest.row_data(static_cast<size_t>(pid));
+    const double* v = interest_->row_data(static_cast<size_t>(pid));
     for (size_t d = 0; d < dim; ++d) query[d] += v[d];
   }
   const double inv = 1.0 / static_cast<double>(profile.size());
   for (double& q : query) q *= inv;
   std::vector<ann::Neighbor> hits;
+  ann::SearchStats stats;
   const Status status =
-      ann_index.Search(query, options.ann_candidates,
-                       std::max(options.ann_ef, options.ann_candidates),
-                       &hits, stats);
+      ann_index_->Search(query, options_.ann_candidates,
+                         std::max(options_.ann_ef, options_.ann_candidates),
+                         &hits, &stats);
   SUBREC_CHECK(status.ok()) << status.ToString();
-  *hits_returned += static_cast<int64_t>(hits.size());
-  out->clear();
   out->reserve(hits.size());
-  for (const ann::Neighbor& hit : hits) {
-    const auto p = static_cast<size_t>(hit.id);
-    if (data.years[p] > options.min_year && data.years[p] <= options.max_year)
-      out->push_back(hit.id);
-  }
+  for (const ann::Neighbor& hit : hits)
+    if (in_window_[static_cast<size_t>(hit.id)] != 0) out->push_back(hit.id);
   std::sort(out->begin(), out->end());
+  // The ann.* family, cumulative across generations: retrieval work, plus
+  // the hits returned and the hits the year window kept (a low kept /
+  // returned ratio means the graph keeps surfacing out-of-window papers).
+  auto& registry = obs::MetricsRegistry::Global();
+  static obs::Counter* const queries = registry.GetCounter("ann.queries");
+  static obs::Counter* const nodes = registry.GetCounter("ann.nodes_visited");
+  static obs::Counter* const evals = registry.GetCounter("ann.distance_evals");
+  static obs::Counter* const returned =
+      registry.GetCounter("ann.hits_returned");
+  static obs::Counter* const kept = registry.GetCounter("ann.hits_kept");
+  queries->Increment();
+  nodes->Increment(stats.nodes_visited);
+  evals->Increment(stats.distance_evals);
+  returned->Increment(static_cast<int64_t>(hits.size()));
+  kept->Increment(static_cast<int64_t>(out->size()));
   return !out->empty();
-}
-
-}  // namespace
-
-CandidateIndex::CandidateIndex(const SnapshotData& data,
-                               const CandidateIndexOptions& options,
-                               const ann::Index* ann_index) {
-  const size_t n = data.years.size();
-  SUBREC_CHECK_EQ(data.disciplines.size(), n);
-  SUBREC_CHECK_EQ(data.topics.size(), n);
-  const bool use_ann = options.retrieval == RetrievalMode::kAnnEmbedding;
-  SUBREC_CHECK(!use_ann || ann_index != nullptr)
-      << "kAnnEmbedding retrieval requested without an ann::Index";
-
-  int32_t max_topic = -1;
-  for (size_t p = 0; p < n; ++p) {
-    if (data.years[p] > options.min_year && data.years[p] <= options.max_year)
-      new_papers_.push_back(static_cast<int32_t>(p));
-    max_topic = std::max(max_topic, data.topics[p]);
-  }
-  by_topic_.resize(static_cast<size_t>(max_topic + 1));
-  for (int32_t p : new_papers_) {
-    const int32_t t = data.topics[static_cast<size_t>(p)];
-    if (t >= 0) by_topic_[static_cast<size_t>(t)].push_back(p);
-  }
-
-  per_user_.resize(data.profiles.size());
-  per_user_source_.resize(data.profiles.size(), CandidateSource::kFullPool);
-
-  // ANN pass first: per-user graph queries fan out over the pool (each
-  // user's list lands in its own slot, so the result is independent of
-  // SUBREC_NUM_THREADS); users ANN could not serve fall through to the
-  // filtered branches below exactly as in kFiltered mode.
-  std::vector<uint8_t> ann_served;
-  if (use_ann && !data.profiles.empty()) {
-    ann_served.assign(data.profiles.size(), 0);
-    std::atomic<int64_t> queries{0}, nodes{0}, evals{0}, returned{0}, kept{0};
-    par::ParallelFor(
-        data.profiles.size(), 8, [&](size_t begin, size_t end) {
-          ann::SearchStats stats;
-          int64_t local_queries = 0, local_returned = 0, local_kept = 0;
-          for (size_t u = begin; u < end; ++u) {
-            if (data.profiles[u].empty()) continue;
-            ++local_queries;
-            if (AnnCandidatesForUser(data, options, *ann_index,
-                                     data.profiles[u], &per_user_[u], &stats,
-                                     &local_returned)) {
-              ann_served[u] = 1;
-              local_kept += static_cast<int64_t>(per_user_[u].size());
-            }
-          }
-          queries.fetch_add(local_queries, std::memory_order_relaxed);
-          nodes.fetch_add(stats.nodes_visited, std::memory_order_relaxed);
-          evals.fetch_add(stats.distance_evals, std::memory_order_relaxed);
-          returned.fetch_add(local_returned, std::memory_order_relaxed);
-          kept.fetch_add(local_kept, std::memory_order_relaxed);
-        });
-    // The ann.* family: build-time retrieval work plus a recall proxy —
-    // the fraction of returned neighbors that survived the year window
-    // (low values mean the graph keeps surfacing out-of-window papers).
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("ann.queries")->Increment(queries.load());
-    registry.GetCounter("ann.nodes_visited")->Increment(nodes.load());
-    registry.GetCounter("ann.distance_evals")->Increment(evals.load());
-    registry.GetGauge("ann.ef")->Set(static_cast<double>(
-        std::max(options.ann_ef, options.ann_candidates)));
-    registry.GetGauge("ann.window_hit_rate")
-        ->Set(returned.load() > 0
-                  ? static_cast<double>(kept.load()) /
-                        static_cast<double>(returned.load())
-                  : 0.0);
-  }
-
-  for (size_t u = 0; u < data.profiles.size(); ++u) {
-    if (!ann_served.empty() && ann_served[u] != 0) {
-      per_user_source_[u] = CandidateSource::kAnnEmbedding;
-      continue;
-    }
-    const std::vector<int32_t>& profile = data.profiles[u];
-    if (profile.empty()) {
-      per_user_[u] = new_papers_;
-      continue;
-    }
-    std::unordered_set<int32_t> disciplines, topics;
-    for (int32_t pid : profile) {
-      disciplines.insert(data.disciplines[static_cast<size_t>(pid)]);
-      const int32_t t = data.topics[static_cast<size_t>(pid)];
-      if (t >= 0) topics.insert(t);
-    }
-    auto discipline_ok = [&](int32_t p) {
-      return !options.filter_disciplines ||
-             disciplines.count(data.disciplines[static_cast<size_t>(p)]) > 0;
-    };
-    std::vector<int32_t> chosen;
-    CandidateSource source = CandidateSource::kTopicPruned;
-    if (options.prune_topics && !topics.empty()) {
-      // Union of the user's topic postings, discipline-filtered.
-      for (int32_t t : topics)
-        if (static_cast<size_t>(t) < by_topic_.size())
-          for (int32_t p : by_topic_[static_cast<size_t>(t)])
-            if (discipline_ok(p)) chosen.push_back(p);
-      std::sort(chosen.begin(), chosen.end());
-      chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
-    }
-    if (chosen.empty()) {
-      source = CandidateSource::kDisciplineFiltered;
-      for (int32_t p : new_papers_)
-        if (discipline_ok(p)) chosen.push_back(p);
-    }
-    // A profile whose disciplines vanished from the window still needs
-    // something to rank: fall back to the unfiltered pool.
-    if (chosen.empty()) {
-      source = CandidateSource::kFallbackPool;
-      chosen = new_papers_;
-    }
-    per_user_[u] = std::move(chosen);
-    per_user_source_[u] = source;
-  }
 }
 
 const std::vector<int32_t>& CandidateIndex::CandidatesFor(
     int32_t user) const {
-  if (user < 0 || static_cast<size_t>(user) >= per_user_.size())
-    return new_papers_;
-  return per_user_[static_cast<size_t>(user)];
+  if (!HasProfile(user)) return new_papers_;
+  return Published(static_cast<size_t>(user)).ids;
 }
 
 CandidateSource CandidateIndex::SourceFor(int32_t user) const {
-  if (user < 0 || static_cast<size_t>(user) >= per_user_source_.size())
+  if (user < 0 || static_cast<size_t>(user) >= num_users_)
     return CandidateSource::kUnknownUser;
-  return per_user_source_[static_cast<size_t>(user)];
+  if (!HasProfile(user)) return CandidateSource::kFullPool;
+  return Published(static_cast<size_t>(user)).source;
 }
 
 const std::vector<int32_t>& CandidateIndex::PapersForTopic(
     int32_t topic) const {
-  if (topic < 0 || static_cast<size_t>(topic) >= by_topic_.size())
-    return empty_;
-  return by_topic_[static_cast<size_t>(topic)];
+  const auto it = by_topic_.find(topic);
+  return it == by_topic_.end() ? empty_ : it->second;
 }
 
 }  // namespace subrec::serve

@@ -1,23 +1,27 @@
 #ifndef SUBREC_SERVE_CANDIDATE_INDEX_H_
 #define SUBREC_SERVE_CANDIDATE_INDEX_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "ann/index.h"
+#include "la/matrix.h"
 #include "serve/snapshot.h"
 
 namespace subrec::serve {
 
-/// How per-user candidate lists are assembled at index-build time.
+/// How a user's candidate list is assembled on its first touch.
 enum class RetrievalMode : int {
   /// Attribute filtering: year window + discipline filter + inverted-topic
   /// pruning. O(new-paper pool) per user.
   kFiltered = 0,
   /// Embedding retrieval: query the frozen ann::Index with the user's mean
   /// profile interest vector, then apply the year window. O(graph walk)
-  /// per user — the only mode that scales past ~1e4-paper pools.
+  /// per user touched — the only mode that scales past ~1e4-paper pools.
   kAnnEmbedding,
 };
 
@@ -40,9 +44,9 @@ struct CandidateIndexOptions {
   int ann_ef = 128;
 };
 
-/// Which retrieval branch produced a user's candidate list. Recorded at
-/// build time and surfaced per request so traces can attribute candidate
-/// cost to the branch that actually ran.
+/// Which retrieval branch produced a user's candidate list. Recorded when
+/// the list is published and surfaced per request, so traces can attribute
+/// candidate cost to the branch that actually ran.
 enum class CandidateSource : int {
   /// Empty profile: the full new-paper pool, unfiltered.
   kFullPool = 0,
@@ -66,28 +70,49 @@ inline constexpr int kNumCandidateSources =
 /// stash in a RequestTrace without allocating.
 const char* CandidateSourceName(CandidateSource source);
 
-/// Precomputed per-user candidate sets over the frozen corpus — the online
-/// analogue of what rec::BuildCandidateSet assembles offline per eval run.
-/// A coarse inverted topic index drives pruning; users with no usable
-/// profile fall back to the full new-paper pool. Immutable after build.
+/// Per-user candidate sets over the frozen corpus — the online analogue of
+/// what rec::BuildCandidateSet assembles offline per eval run. A coarse
+/// inverted topic index drives pruning; users with no usable profile fall
+/// back to the full new-paper pool.
+///
+/// Construction does only the work that does not depend on users: the
+/// in-window pool, the inverted topic index and one empty slot per user.
+/// A user's list is retrieved on the first CandidatesFor or SourceFor call
+/// that names the user and is then published into the user's slot, so a
+/// snapshot load costs the same however many users it profiles, and users
+/// who never send a request never cost a search. Thread-safe: concurrent
+/// first touches of one user may each retrieve, one publishes, and every
+/// caller gets that list at one address that stays fixed for the index's
+/// lifetime (RecommendService coalesces requests by that address).
 class CandidateIndex {
  public:
-  /// `ann_index` is the frozen embedding index (nullable). Checked
-  /// programmer error to request RetrievalMode::kAnnEmbedding without one
-  /// — ServingState::FromSnapshot turns that into a Status first. Under
-  /// kAnnEmbedding the per-user queries run through par::ParallelFor;
-  /// results are deterministic for any SUBREC_NUM_THREADS because each
-  /// user's query is independent and lands in its own slot.
+  /// Copies the attribute arrays it filters on (years, disciplines,
+  /// topics). First-touch retrieval reads `data.profiles` and
+  /// `data.interest`, so `data` must outlive the index unless Rebind
+  /// points it at copies that do. `ann_index` is the frozen embedding
+  /// index (nullable; read on first touch, so it must outlive the index
+  /// too). Checked programmer error to request RetrievalMode::kAnnEmbedding
+  /// without one — ServingState::FromSnapshot turns that into a Status
+  /// first. Lists do not depend on which thread retrieves them, so they are
+  /// the same for any SUBREC_NUM_THREADS and any request order.
   CandidateIndex(const SnapshotData& data,
                  const CandidateIndexOptions& options,
                  const ann::Index* ann_index = nullptr);
 
-  /// The precomputed candidate list of `user` (ascending paper ids).
-  /// Unknown users get the full new-paper pool.
+  /// Points first-touch retrieval at `profiles` and `interest`, which must
+  /// hold the values the index was built from and outlive it.
+  /// ServingState::FromSnapshot calls this once the state that owns them
+  /// has its final address, before any user is touched.
+  void Rebind(const std::vector<std::vector<int32_t>>* profiles,
+              const la::Matrix* interest);
+
+  /// The candidate list of `user` (ascending paper ids), retrieved on the
+  /// first call for that user. Unknown users and users with an empty
+  /// profile get the full new-paper pool itself (AllNewPapers()).
   const std::vector<int32_t>& CandidatesFor(int32_t user) const;
 
   /// The retrieval branch that built `user`'s list (kUnknownUser for ids
-  /// outside the profile table).
+  /// outside the profile table); retrieves the list if not yet published.
   CandidateSource SourceFor(int32_t user) const;
 
   /// All in-window new papers, ascending.
@@ -96,14 +121,49 @@ class CandidateIndex {
   /// Inverted index: in-window new papers of one topic, ascending.
   const std::vector<int32_t>& PapersForTopic(int32_t topic) const;
 
-  size_t num_users() const { return per_user_.size(); }
+  size_t num_users() const { return num_users_; }
   size_t num_new_papers() const { return new_papers_.size(); }
 
  private:
+  /// One user's retrieved list and the branch that produced it.
+  struct UserList {
+    std::vector<int32_t> ids;
+    CandidateSource source = CandidateSource::kTopicPruned;
+  };
+  /// Null until the user's first touch publishes a list; owns it after.
+  struct Slot {
+    std::atomic<const UserList*> list{nullptr};
+    ~Slot() { delete list.load(std::memory_order_relaxed); }
+  };
+
+  /// True when `user` names a profile-table row with a non-empty profile.
+  bool HasProfile(int32_t user) const;
+  /// The published list of a user with a non-empty profile, retrieving
+  /// and publishing it first if this is the user's first touch.
+  const UserList& Published(size_t user) const;
+  /// The retrieval fall-through: ANN (when configured), then topic-pruned,
+  /// then discipline-filtered, then the unfiltered pool.
+  UserList Retrieve(const std::vector<int32_t>& profile) const;
+  /// kAnnEmbedding branch: false (and `out` empty) when every hit fell
+  /// outside the year window.
+  bool AnnCandidates(const std::vector<int32_t>& profile,
+                     std::vector<int32_t>* out) const;
+
+  CandidateIndexOptions options_;
+  /// Non-null exactly when retrieval is kAnnEmbedding.
+  const ann::Index* ann_index_ = nullptr;
+  const std::vector<std::vector<int32_t>>* profiles_ = nullptr;
+  const la::Matrix* interest_ = nullptr;
+  /// Per paper: 1 when its year is inside the serving window.
+  std::vector<uint8_t> in_window_;
+  std::vector<int32_t> disciplines_;
+  std::vector<int32_t> topics_;
   std::vector<int32_t> new_papers_;
-  std::vector<std::vector<int32_t>> by_topic_;
-  std::vector<std::vector<int32_t>> per_user_;
-  std::vector<CandidateSource> per_user_source_;
+  /// Keyed by topic id rather than indexed by it: a snapshot's topic ids
+  /// are external input, and one huge id must not size a huge table.
+  std::unordered_map<int32_t, std::vector<int32_t>> by_topic_;
+  size_t num_users_ = 0;
+  std::unique_ptr<Slot[]> slots_;
   std::vector<int32_t> empty_;
 };
 

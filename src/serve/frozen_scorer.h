@@ -60,6 +60,9 @@ class FrozenScorer {
   explicit FrozenScorer(SnapshotData&& data);
 
   size_t num_papers() const { return interest_.rows(); }
+  /// The interest slab (one row per paper); CandidateIndex builds its ANN
+  /// queries from these rows.
+  const la::Matrix& interest() const { return interest_; }
   size_t dim() const { return interest_.cols(); }
 
   /// Pairwise correlation score y_hat(p,q) (Eq. 22): sigmoid of the

@@ -59,8 +59,8 @@ Result<std::shared_ptr<const ServingState>> ServingState::FromSnapshot(
     // external ids and dimensionality are opaque to it. Cross-check both
     // against this snapshot here so a well-formed-but-mismatched section
     // (the CRC is recomputable, not a security barrier) is a load error,
-    // never an out-of-bounds read in the candidate pass or a CHECK-abort
-    // inside its ParallelFor.
+    // never an out-of-bounds read or a CHECK-abort in a request's
+    // first-touch search.
     if (decoded->dim() != data.interest.cols()) {
       return Status::InvalidArgument(
           "snapshot ANN index dim " + std::to_string(decoded->dim()) +
@@ -78,13 +78,19 @@ Result<std::shared_ptr<const ServingState>> ServingState::FromSnapshot(
     data.ann_index.clear();
     data.ann_index.shrink_to_fit();
   }
-  if (index_options.retrieval == RetrievalMode::kAnnEmbedding &&
-      ann_index == nullptr) {
-    return Status::InvalidArgument(
-        "ann_embedding retrieval requested but the snapshot has no ANN "
-        "index (freeze with build_ann_index)");
+  if (index_options.retrieval == RetrievalMode::kAnnEmbedding) {
+    if (ann_index == nullptr) {
+      return Status::InvalidArgument(
+          "ann_embedding retrieval requested but the snapshot has no ANN "
+          "index (freeze with build_ann_index)");
+    }
+    if (index_options.ann_candidates <= 0) {
+      return Status::InvalidArgument(
+          "ann_embedding retrieval needs ann_candidates > 0, got " +
+          std::to_string(index_options.ann_candidates));
+    }
   }
-  // Build the index first (it reads only the attribute arrays), pull the
+  // Build the index first (it copies only the attribute arrays), pull the
   // small members out, then let FrozenScorer move the three big matrices
   // instead of copying them — snapshot load never doubles peak memory.
   CandidateIndex index(data, index_options, ann_index.get());
@@ -96,6 +102,9 @@ Result<std::shared_ptr<const ServingState>> ServingState::FromSnapshot(
       FrozenScorer(std::move(data)), std::move(index), std::move(profiles),
       std::move(model_name), std::move(dataset), split_year,
       std::move(ann_index)});
+  // The index was built over `data`, whose profiles and interest slab now
+  // live in the state: point first-touch retrieval at their final home.
+  state->index.Rebind(&state->profiles, &state->scorer.interest());
   return std::shared_ptr<const ServingState>(std::move(state));
 }
 
@@ -310,10 +319,12 @@ std::vector<RecResponse> RecommendService::RunChunk(
   std::vector<const std::vector<double>*> prescored(requests.size(), nullptr);
   if (state != nullptr && requests.size() >= 2) {
     // Coalescing pre-pass: group the chunk's valid requests by candidate
-    // list (CandidatesFor returns a reference into the immutable state, so
-    // the address is the identity) and score each group of two or more in
-    // one stacked GEMM — every gathered influence tile is then multiplied
-    // against all of the group's profiles at once. A member that later
+    // list (CandidatesFor returns a reference that stays fixed for the
+    // state's lifetime once published, so the address is the identity;
+    // this is also where a user's first touch retrieves the list) and
+    // score each group of two or more in one stacked GEMM — every
+    // gathered influence tile is then multiplied against all of the
+    // group's profiles at once. A member that later
     // turns out to be a cache hit wastes its slice of the pass; that is a
     // perf tradeoff, never a correctness one, since TopNOnState still
     // probes the cache first and prescored scores are bit-identical to

@@ -23,9 +23,11 @@
 
 namespace subrec::serve {
 
-/// One immutable generation of serving data: scorer + candidate index +
-/// user profiles, built from one snapshot. Shared read-only across worker
-/// threads; replaced wholesale on hot reload.
+/// One generation of serving data: scorer + candidate index + user
+/// profiles, built from one snapshot. Shared across worker threads and
+/// replaced wholesale on hot reload. Everything is immutable after
+/// FromSnapshot except the index's per-user candidate slots, which it fills
+/// on each user's first touch.
 struct ServingState {
   FrozenScorer scorer;
   CandidateIndex index;
@@ -34,15 +36,19 @@ struct ServingState {
   std::string dataset;
   int32_t split_year = 0;
   /// The deserialized embedding index from the snapshot's ANN section, or
-  /// null when the snapshot carried none. Kept alive for the generation so
-  /// diagnostics (and future online re-query paths) can reach it.
+  /// null when the snapshot carried none. Under kAnnEmbedding retrieval the
+  /// index searches it on each user's first touch, so it lives exactly as
+  /// long as the generation.
   std::unique_ptr<const ann::HnswIndex> ann_index;
 
-  /// Builds a state from parsed snapshot data. `index_options.min_year`
-  /// of 0 is auto-filled with the snapshot's split year. Fails with
+  /// Builds a state from parsed snapshot data in time linear in the
+  /// snapshot, with no per-user retrieval. `index_options.min_year` of 0
+  /// is auto-filled with the snapshot's split year. Fails with
   /// InvalidArgument when RetrievalMode::kAnnEmbedding is requested but
-  /// the snapshot has no ANN section — never a silent fallback — and
-  /// propagates decode errors from a corrupt ANN section.
+  /// the snapshot has no ANN section — never a silent fallback — or with
+  /// a non-positive `ann_candidates`, and propagates decode errors from a
+  /// corrupt ANN section: every check a first-touch search relies on runs
+  /// here, so a bad snapshot fails its load, never a later request.
   static Result<std::shared_ptr<const ServingState>> FromSnapshot(
       SnapshotData data, CandidateIndexOptions index_options);
 };

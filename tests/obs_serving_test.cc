@@ -26,6 +26,7 @@
 #include "obs/serve_observer.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "serve/candidate_index.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 
@@ -985,6 +986,70 @@ TEST(SnapshotAllocation, DecodeAllocatesPerSectionNotPerRow) {
   EXPECT_LE(alloc_bytes, static_cast<int64_t>(bytes.size()) + 64 * 1024);
   ASSERT_EQ(parsed.interest.rows(), 4096u);
   ASSERT_EQ(parsed.interest.cols(), 8u);
+}
+
+TEST(CandidateAllocation, PublishedListsAreReadWithoutAllocating) {
+  // A user's candidate list is retrieved on first touch; every later
+  // CandidatesFor/SourceFor of that user is one acquire load of the
+  // published slot and must allocate NOTHING, in both retrieval modes.
+  // Users with an empty profile and unknown users share the pool itself
+  // and never allocate at all.
+  serve::SnapshotData data = SyntheticServingData(256, 8);
+  data.profiles = {{0, 1, 2}, {3, 4}, {}, {5, 6, 7, 8}};
+  std::vector<int32_t> ids(data.influence.rows());
+  for (size_t p = 0; p < ids.size(); ++p) ids[p] = static_cast<int32_t>(p);
+  const double* first = data.influence.row_data(0);
+  auto built = ann::HnswIndex::Build(
+      ids, std::vector<double>(first, first + data.influence.size()),
+      data.influence.cols(), ann::HnswOptions{});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  data.ann_index = built.value()->Serialize();
+
+  for (const auto mode : {serve::RetrievalMode::kFiltered,
+                          serve::RetrievalMode::kAnnEmbedding}) {
+    serve::CandidateIndexOptions options;
+    options.retrieval = mode;
+    options.ann_candidates = 16;
+    auto loaded = serve::ServingState::FromSnapshot(data, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const serve::CandidateIndex& index = loaded.value()->index;
+    const auto users = static_cast<int32_t>(data.profiles.size());
+    // First touches publish (these may allocate).
+    for (int32_t u = 0; u < users; ++u)
+      ASSERT_FALSE(index.CandidatesFor(u).empty());
+
+    size_t total = 0;
+    const int64_t allocs = CountAllocations([&] {
+      for (int round = 0; round < 8; ++round) {
+        for (int32_t u = -1; u <= users; ++u) {
+          total += index.CandidatesFor(u).size();
+          total += static_cast<size_t>(index.SourceFor(u));
+        }
+      }
+    });
+    EXPECT_EQ(allocs, 0) << "retrieval mode " << static_cast<int>(mode);
+    EXPECT_GT(total, 0u);
+    // An empty profile is served the pool itself, not a per-user copy.
+    EXPECT_EQ(&index.CandidatesFor(2), &index.AllNewPapers());
+    EXPECT_EQ(&index.CandidatesFor(users), &index.AllNewPapers());
+  }
+}
+
+TEST(CandidateAllocation, TopicIdsDoNotSizeTheIndex) {
+  // Topic ids come from the snapshot, so they are external input: one
+  // large id must cost one posting list, not a table indexed up to it.
+  serve::SnapshotData data = SyntheticServingData(64, 4);
+  constexpr int32_t kHugeTopic = 1 << 22;
+  data.topics[5] = kHugeTopic;
+  data.profiles = {{5}};
+  std::vector<int32_t> candidates;
+  const int64_t bytes = CountAllocatedBytes([&] {
+    const serve::CandidateIndex index(data, serve::CandidateIndexOptions{});
+    candidates = index.CandidatesFor(0);
+    EXPECT_EQ(index.PapersForTopic(kHugeTopic), std::vector<int32_t>{5});
+  });
+  EXPECT_LE(bytes, 64 * 1024);
+  EXPECT_EQ(candidates, std::vector<int32_t>{5});
 }
 
 TEST(ServiceObservability, GemmTracesCarryScoreStageBreakdown) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <map>
 #include <memory>
@@ -586,6 +587,22 @@ TEST(ServingState, RejectsAnnSectionWithDimMismatch) {
       << result.status().ToString();
 }
 
+TEST(ServingState, AnnModeRejectsANonPositiveCandidateCount) {
+  // Lists are retrieved on first touch, so an option the search would
+  // reject must fail the load, not a later request.
+  SnapshotData data = TinyData();
+  data.ann_index = TinyAnnBytes();
+  CandidateIndexOptions options;
+  options.retrieval = RetrievalMode::kAnnEmbedding;
+  options.ann_candidates = 0;
+  const auto result = ServingState::FromSnapshot(std::move(data), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("ann_candidates"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(ServingState, AnnModeWithoutIndexIsALoadError) {
   CandidateIndexOptions options;
   options.retrieval = RetrievalMode::kAnnEmbedding;
@@ -960,6 +977,7 @@ TEST(SnapshotEndToEnd, AnnModeServesAndCountsRequests) {
 class ServiceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    if (world_ != nullptr) return;  // Shared with the suites derived below.
     world_ = BuildWorld(
         datagen::ScopusLikeOptions(datagen::DatasetScale::kTiny, 99)).release();
     // One file per process: ctest runs each test of this suite in its own
@@ -1198,6 +1216,168 @@ TEST_F(ServiceTest, BatchMatchesIndividualRequests) {
     for (size_t j = 0; j < individual.items.size(); ++j) {
       EXPECT_EQ(batch[i].items[j].paper, individual.items[j].paper);
       EXPECT_EQ(batch[i].items[j].score, individual.items[j].score);
+    }
+  }
+}
+
+/// FNV-1a over the little-endian bytes of one 32-bit word, folded into `h`.
+uint64_t FoldWord(uint64_t h, uint32_t word) {
+  for (int byte = 0; byte < 4; ++byte) {
+    h ^= word & 0xffu;
+    h *= 0x100000001b3ULL;
+    word >>= 8;
+  }
+  return h;
+}
+
+/// Digest of every user's (user, source, candidate ids) in one state.
+uint64_t CandidateDigest(const ServingState& state) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t u = 0; u < state.profiles.size(); ++u) {
+    const auto user = static_cast<int32_t>(u);
+    const std::vector<int32_t>& ids = state.index.CandidatesFor(user);
+    h = FoldWord(h, static_cast<uint32_t>(user));
+    h = FoldWord(h, static_cast<uint32_t>(state.index.SourceFor(user)));
+    h = FoldWord(h, static_cast<uint32_t>(ids.size()));
+    for (int32_t id : ids) h = FoldWord(h, static_cast<uint32_t>(id));
+  }
+  return h;
+}
+
+std::string Hex(uint64_t bits) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
+/// Own suite name so ctest can also run it at 1, 2 and 4 threads.
+class CandidateGolden : public ServiceTest {};
+
+TEST_F(CandidateGolden, EveryUsersListMatchesCommittedDigest) {
+  // Pins which papers each user of the fixture snapshot is offered, and by
+  // which retrieval branch, in both modes. The digests were captured from
+  // the eager index that built every list at load; the lazy index must
+  // reproduce them list for list.
+  const struct {
+    RetrievalMode mode;
+    const char* want;
+  } cases[] = {
+      {RetrievalMode::kFiltered, "0xad11c04f55bfc8dc"},
+      {RetrievalMode::kAnnEmbedding, "0x2a22785e0b4848d5"},
+  };
+  for (const auto& c : cases) {
+    auto parsed = SnapshotReader::ReadFile(*snapshot_path_);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    CandidateIndexOptions options;
+    options.retrieval = c.mode;
+    const auto state =
+        ServingState::FromSnapshot(std::move(parsed).value(), options);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(Hex(CandidateDigest(*state.value())), c.want)
+        << "retrieval mode " << static_cast<int>(c.mode) << " over "
+        << state.value()->profiles.size() << " users";
+  }
+}
+
+int64_t CounterValue(const std::string& name) {
+  const auto counters = obs::MetricsRegistry::Global().Snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? int64_t{0} : it->second;
+}
+
+TEST_F(ServiceTest, AnnRetrievalRunsOnFirstTouchOnly) {
+  // A load does no per-user work: neither FromSnapshot nor a directly
+  // built kAnnEmbedding index issues a single search. A user's first
+  // touch (through either accessor) issues exactly one, and repeats
+  // issue none.
+  CandidateIndexOptions options;
+  options.retrieval = RetrievalMode::kAnnEmbedding;
+  auto parsed = SnapshotReader::ReadFile(*snapshot_path_);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const SnapshotData data = parsed.value();
+  auto decoded = ann::HnswIndex::Deserialize(data.ann_index);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+
+  const int64_t at_start = CounterValue("ann.queries");
+  options.min_year = data.split_year;
+  const CandidateIndex direct(data, options, decoded.value().get());
+  const auto state = ServingState::FromSnapshot(std::move(parsed).value(),
+                                                options);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(CounterValue("ann.queries"), at_start);
+
+  const int32_t user = AUser();
+  const CandidateIndex& index = state.value()->index;
+  const int64_t returned = CounterValue("ann.hits_returned");
+  const int64_t kept = CounterValue("ann.hits_kept");
+  const std::vector<int32_t>& list = index.CandidatesFor(user);
+  EXPECT_EQ(CounterValue("ann.queries"), at_start + 1);
+  const int64_t kept_now = CounterValue("ann.hits_kept") - kept;
+  EXPECT_LE(kept_now, CounterValue("ann.hits_returned") - returned);
+  if (index.SourceFor(user) == CandidateSource::kAnnEmbedding) {
+    EXPECT_EQ(kept_now, static_cast<int64_t>(list.size()));
+  }
+  EXPECT_EQ(&index.CandidatesFor(user), &list);
+  EXPECT_EQ(CounterValue("ann.queries"), at_start + 1);
+
+  // SourceFor is a first touch too, and the independent index built over
+  // the same data retrieves the same list at its own first touch.
+  EXPECT_EQ(direct.SourceFor(user), index.SourceFor(user));
+  EXPECT_EQ(CounterValue("ann.queries"), at_start + 2);
+  EXPECT_EQ(direct.CandidatesFor(user), list);
+  EXPECT_EQ(CounterValue("ann.queries"), at_start + 2);
+}
+
+TEST_F(ServiceTest, ConcurrentFirstTouchPublishesOneList) {
+  // Four threads first-touch every user of a fresh state at once, each
+  // starting at a different user. Whichever thread wins a user's slot,
+  // all of them must see one address and one list. Under the tsan preset
+  // this is the race detector for slot publication.
+  constexpr size_t kThreads = 4;
+  for (const auto mode :
+       {RetrievalMode::kFiltered, RetrievalMode::kAnnEmbedding}) {
+    auto parsed = SnapshotReader::ReadFile(*snapshot_path_);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    CandidateIndexOptions options;
+    options.retrieval = mode;
+    const auto loaded =
+        ServingState::FromSnapshot(std::move(parsed).value(), options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const CandidateIndex& index = loaded.value()->index;
+    const size_t users = loaded.value()->profiles.size();
+
+    std::vector<std::vector<const std::vector<int32_t>*>> seen(
+        kThreads, std::vector<const std::vector<int32_t>*>(users));
+    std::vector<std::vector<std::vector<int32_t>>> copies(
+        kThreads, std::vector<std::vector<int32_t>>(users));
+    std::vector<std::vector<CandidateSource>> sources(
+        kThreads, std::vector<CandidateSource>(users));
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        for (size_t i = 0; i < users; ++i) {
+          const size_t u = (i + t * users / kThreads) % users;
+          const auto user = static_cast<int32_t>(u);
+          // Alternate which accessor makes the first touch.
+          if (((u + t) & 1u) != 0) sources[t][u] = index.SourceFor(user);
+          seen[t][u] = &index.CandidatesFor(user);
+          copies[t][u] = *seen[t][u];
+          sources[t][u] = index.SourceFor(user);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 1; t < kThreads; ++t) {
+      for (size_t u = 0; u < users; ++u) {
+        EXPECT_EQ(seen[t][u], seen[0][u]) << "user " << u;
+        EXPECT_EQ(copies[t][u], copies[0][u]) << "user " << u;
+        EXPECT_EQ(sources[t][u], sources[0][u]) << "user " << u;
+      }
     }
   }
 }
