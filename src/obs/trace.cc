@@ -37,6 +37,7 @@ void TraceRecorder::Enable(size_t capacity) {
   ring_.reserve(std::min<size_t>(capacity, 1024));
   next_ = 0;
   total_ = 0;
+  totals_.clear();
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -68,6 +69,9 @@ void TraceRecorder::Record(const char* name, int64_t start_ns,
       overwrote = true;
     }
     ++total_;
+    NameTotal& t = totals_[name];
+    ++t.count;
+    t.total_ns += duration_ns;
   }
   if (overwrote) dropped_counter->Increment();
 }
@@ -100,16 +104,21 @@ void TraceRecorder::Clear() {
   ring_.clear();
   next_ = 0;
   total_ = 0;
+  totals_.clear();
 }
 
 std::vector<SpanTotal> TraceRecorder::AggregateTotals() const {
-  const std::vector<TraceEvent> events = Events();
+  // Equal names from different translation units may be distinct literals;
+  // merge them by content.
   std::map<std::string_view, SpanTotal> by_name;
-  for (const TraceEvent& ev : events) {
-    SpanTotal& t = by_name[ev.name];
-    if (t.name.empty()) t.name = ev.name;
-    ++t.count;
-    t.total_ns += ev.duration_ns;
+  {
+    common::MutexLock lock(&mu_);
+    for (const auto& [name, nt] : totals_) {
+      SpanTotal& t = by_name[name];
+      if (t.name.empty()) t.name = name;
+      t.count += nt.count;
+      t.total_ns += nt.total_ns;
+    }
   }
   std::vector<SpanTotal> out;
   out.reserve(by_name.size());

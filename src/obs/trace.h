@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -21,7 +22,7 @@ struct TraceEvent {
   int tid = 0;
 };
 
-/// Per-span aggregate across the recorded window.
+/// Per-span aggregate over every span recorded since Enable/Clear.
 struct SpanTotal {
   std::string name;
   int64_t count = 0;
@@ -63,7 +64,8 @@ class TraceRecorder {
 
   void Clear();
 
-  /// Per-name count and wall-time totals over the recorded window, sorted
+  /// Per-name count and wall-time totals over every span recorded since
+  /// Enable/Clear, including spans the ring has since overwritten, sorted
   /// by descending total time.
   std::vector<SpanTotal> AggregateTotals() const;
 
@@ -83,6 +85,13 @@ class TraceRecorder {
   size_t next_ SUBREC_GUARDED_BY(mu_) = 0;
   // Spans ever recorded this window.
   int64_t total_ SUBREC_GUARDED_BY(mu_) = 0;
+  // Running count and wall time per span name, keyed by the name's pointer
+  // (one entry per literal), so totals survive ring wraparound.
+  struct NameTotal {
+    int64_t count = 0;
+    int64_t total_ns = 0;
+  };
+  std::unordered_map<const char*, NameTotal> totals_ SUBREC_GUARDED_BY(mu_);
 };
 
 /// RAII scoped timer: measures from construction to destruction and hands

@@ -28,9 +28,6 @@ enum class ScorerMode : int {
   kGemm,
 };
 
-/// Stable static-storage name ("pairwise", "gemm") for report rows.
-const char* ScorerModeName(ScorerMode mode);
-
 /// Wall-time attribution of one batched scoring pass, accumulated across
 /// its tiles: candidate-row gather, GEMM, sigmoid-mean epilogue.
 struct ScoreBatchStats {

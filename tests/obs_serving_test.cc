@@ -1262,6 +1262,28 @@ TEST(ServiceObservability, ConcurrentBatchesSwapAndExportHammer) {
   EXPECT_EQ(w.errors, 0);
   // Every request draws one sampling ticket; every third is traced.
   EXPECT_EQ(service.observer().recorder()->TotalRecorded(), 43);
+
+  // Every rolling window (1s/10s/60s) saw the whole run across the swap and
+  // recorded positive latency percentiles for it.
+  ASSERT_EQ(final_snap.windows.size(), 3u);
+  for (const obs::WindowStats& s : final_snap.windows) {
+    SCOPED_TRACE(s.window_seconds);
+    EXPECT_EQ(s.requests, 128);
+    EXPECT_GT(s.p50_us, 0.0);
+    EXPECT_GT(s.p95_us, 0.0);
+    EXPECT_GT(s.p99_us, 0.0);
+  }
+  obs::StatuszData d;
+  d.window = &final_snap;
+  const std::string prom = obs::ExportPrometheus(d);
+  for (const char* window : {"1s", "10s", "60s"}) {
+    for (const char* gauge : {"subrec_window_p50_us", "subrec_window_p95_us",
+                              "subrec_window_p99_us"}) {
+      EXPECT_TRUE(Contains(prom, std::string(gauge) + "{window=\"" + window +
+                                     "\"}"))
+          << prom;
+    }
+  }
 }
 
 }  // namespace

@@ -429,6 +429,36 @@ TEST(TraceRecorder, OverwritesFeedDroppedCounterAndRunReport) {
   rec.Clear();
 }
 
+TEST(TraceRecorder, TotalsCoverSpansOverwrittenInTheRing) {
+  // A long traced run wraps the ring many times over; the per-name totals
+  // must still count every span since Enable, not only the ring's tail.
+  TraceRecorder& rec = TraceRecorder::Global();
+  rec.Enable(4);
+  for (int i = 0; i < 10; ++i) rec.Record("obs_test/totals_a", i, 2);
+  for (int i = 0; i < 10; ++i) rec.Record("obs_test/totals_b", 10 + i, 3);
+  const std::vector<SpanTotal> totals = rec.AggregateTotals();
+  const std::vector<TraceEvent> events = rec.Events();
+  rec.Disable();
+
+  ASSERT_EQ(totals.size(), 2u);
+  // Sorted by descending total time: B (10 x 3 ns) before A (10 x 2 ns).
+  EXPECT_EQ(totals[0].name, "obs_test/totals_b");
+  EXPECT_EQ(totals[0].count, 10);
+  EXPECT_EQ(totals[0].total_ns, 30);
+  EXPECT_EQ(totals[1].name, "obs_test/totals_a");
+  EXPECT_EQ(totals[1].count, 10);
+  EXPECT_EQ(totals[1].total_ns, 20);
+  // The ring itself still keeps only the newest four spans.
+  EXPECT_EQ(events.size(), 4u);
+
+  // Clear starts a fresh window for the totals as well.
+  rec.Enable(4);
+  rec.Record("obs_test/totals_a", 0, 1);
+  rec.Clear();
+  EXPECT_TRUE(rec.AggregateTotals().empty());
+  rec.Disable();
+}
+
 TEST(TraceRecorder, GmmFitProducesValidChromeTrace) {
   TraceRecorder& rec = TraceRecorder::Global();
   rec.Enable();
